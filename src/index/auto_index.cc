@@ -10,6 +10,14 @@ namespace {
 constexpr size_t kFlatThreshold = 512;  // below this, brute force is best
 }  // namespace
 
+IndexParams AutoIndexHnswProfile() {
+  IndexParams params;
+  params.hnsw_m = 16;
+  params.ef_construction = 128;
+  params.ef = 64;
+  return params;
+}
+
 Status AutoIndex::Build(const FloatMatrix& data) {
   if (data.empty()) {
     return Status::InvalidArgument("AUTOINDEX build: empty data");
@@ -19,10 +27,7 @@ Status AutoIndex::Build(const FloatMatrix& data) {
   } else {
     // Milvus' AUTOINDEX is a pre-tuned HNSW profile; only the build
     // parallelism knob passes through.
-    IndexParams params;
-    params.hnsw_m = 16;
-    params.ef_construction = 128;
-    params.ef = 64;
+    IndexParams params = AutoIndexHnswProfile();
     params.build_threads = build_threads_;
     delegate_ = std::make_unique<HnswIndex>(metric_, params, seed_);
   }

@@ -10,6 +10,11 @@
 
 namespace vdt {
 
+/// The pre-tuned HNSW profile AUTOINDEX builds above its FLAT threshold
+/// (M = 16, efConstruction = 128, ef = 64), defined once for the index and
+/// the build-time cost model. build_threads is left at its default.
+IndexParams AutoIndexHnswProfile();
+
 class AutoIndex : public VectorIndex {
  public:
   /// `build_threads` passes through to the delegate's build (see

@@ -19,6 +19,90 @@ namespace {
 /// one batch do not see each other, which is the only difference from the
 /// sequential (batch = 1) insertion order.
 constexpr size_t kBuildBatch = 16;
+
+using Candidate = HnswIndex::Candidate;
+using Decision = Candidate::Decision;
+
+/// Build-time companion of the adjacency lists, freed when Build returns.
+/// Each list owns a block of slots holding its links' distances to the
+/// list's owner, in link order, and remembers what the last SelectNeighbors
+/// run left: the list reads [kept | pruned | appended since], the first two
+/// runs sorted and carrying that run's decisions. Flat arrays, level-0
+/// lists first (2M + 1 slots: a full list plus the back-link that overflows
+/// it), then every upper-layer list (M + 1 slots).
+class LinkState {
+ public:
+  LinkState(const std::vector<int>& node_level, size_t m)
+      : n_(node_level.size()), stride0_(2 * m + 1), stride_(m + 1) {
+    upper_first_.resize(n_);
+    size_t lists = n_;
+    for (size_t i = 0; i < n_; ++i) {
+      upper_first_[i] = lists;
+      lists += static_cast<size_t>(node_level[i]);
+    }
+    dist_.resize(n_ * stride0_ + (lists - n_) * stride_);
+    kept_.resize(lists);
+    decided_.resize(lists);
+  }
+
+  size_t List(uint32_t node, int level) const {
+    return level == 0 ? node : upper_first_[node] + level - 1;
+  }
+
+  float* Distances(size_t list) {
+    return dist_.data() + (list < n_ ? list * stride0_
+                                     : n_ * stride0_ + (list - n_) * stride_);
+  }
+
+  /// `links` in ascending (distance, id) order, each tagged with the
+  /// decision it carries.
+  void LoadSorted(size_t list, const std::vector<uint32_t>& links,
+                  std::vector<Candidate>* out) {
+    const float* dist = Distances(list);
+    const size_t kept = kept_[list];
+    const size_t decided = decided_[list];
+    runs_.clear();
+    for (size_t j = 0; j < links.size(); ++j) {
+      const Decision recorded = j < kept      ? Decision::kKept
+                                : j < decided ? Decision::kPruned
+                                              : Decision::kNone;
+      runs_.push_back({links[j], dist[j], recorded});
+    }
+    std::sort(runs_.begin() + decided, runs_.end());
+    merged_.resize(decided);
+    std::merge(runs_.begin(), runs_.begin() + kept, runs_.begin() + kept,
+               runs_.begin() + decided, merged_.begin());
+    out->resize(links.size());
+    std::merge(merged_.begin(), merged_.end(), runs_.begin() + decided,
+               runs_.end(), out->begin());
+  }
+
+  /// Replaces `links` with a SelectNeighbors result and records it.
+  void Store(size_t list, const std::vector<Candidate>& selected, size_t kept,
+             std::vector<uint32_t>* links) {
+    float* dist = Distances(list);
+    links->clear();
+    for (size_t j = 0; j < selected.size(); ++j) {
+      links->push_back(selected[j].id);
+      dist[j] = selected[j].distance;
+    }
+    kept_[list] = static_cast<uint16_t>(kept);
+    decided_[list] = static_cast<uint16_t>(selected.size());
+  }
+
+ private:
+  size_t n_;
+  size_t stride0_;
+  size_t stride_;
+  std::vector<size_t> upper_first_;  // list index of each node's level 1
+  std::vector<float> dist_;
+  // Per-list counts; a degree is at most 2 * 512 (Build validates M).
+  std::vector<uint16_t> kept_;
+  std::vector<uint16_t> decided_;
+  // LoadSorted scratch.
+  std::vector<Candidate> runs_;
+  std::vector<Candidate> merged_;
+};
 }  // namespace
 
 float HnswIndex::Dist(const float* query, uint32_t id,
@@ -113,36 +197,46 @@ std::vector<Neighbor> HnswIndex::SearchLayer(const float* query,
   return results.Take();
 }
 
-std::vector<uint32_t> HnswIndex::SelectNeighbors(
-    const float* query, const std::vector<Neighbor>& candidates,
-    size_t max_m) const {
-  // Diversity heuristic: keep a candidate only if it is closer to the query
-  // than to every neighbor selected so far; backfill with pruned candidates.
-  std::vector<uint32_t> selected;
-  std::vector<uint32_t> pruned;
-  for (const Neighbor& cand : candidates) {
-    if (selected.size() >= max_m) break;
-    bool keep = true;
-    for (uint32_t s : selected) {
-      const float d_cs = Distance(metric_, data_->Row(cand.id), data_->Row(s),
-                                  data_->dim());
-      if (d_cs < cand.distance) {
-        keep = false;
-        break;
+size_t HnswIndex::SelectNeighbors(Metric metric, const FloatMatrix& data,
+                                  std::vector<Candidate>* cands,
+                                  size_t max_m) {
+  std::vector<Candidate>& c = *cands;
+  const size_t dim = data.dim();
+  // Stable in-place partition: c[0, kept) holds the kept links and
+  // c[kept, done) the pruned ones, both in input order.
+  size_t kept = 0;
+  size_t done = 0;
+  // Until an old decision flips, every old kept link is still kept, so an
+  // old pruned link keeps its witness and an old kept link can only be
+  // overturned by a link kept for the first time in this run.
+  bool flipped = false;
+  for (; done < c.size() && kept < max_m; ++done) {
+    const Candidate cand = c[done];
+    bool keep = flipped || cand.recorded != Decision::kPruned;
+    if (keep) {
+      const bool new_only = !flipped && cand.recorded == Decision::kKept;
+      const float* row = data.Row(cand.id);
+      for (size_t s = 0; s < kept; ++s) {
+        if (new_only && c[s].recorded != Decision::kNone) continue;
+        if (Distance(metric, row, data.Row(c[s].id), dim) < cand.distance) {
+          keep = false;
+          break;
+        }
       }
+      if (!keep && cand.recorded == Decision::kKept) flipped = true;
     }
     if (keep) {
-      selected.push_back(static_cast<uint32_t>(cand.id));
-    } else {
-      pruned.push_back(static_cast<uint32_t>(cand.id));
+      std::rotate(c.begin() + kept, c.begin() + done, c.begin() + done + 1);
+      ++kept;
     }
   }
-  for (uint32_t p : pruned) {
-    if (selected.size() >= max_m) break;
-    selected.push_back(p);
+  // Links past the cap were never examined and are dropped; the pruned
+  // ones backfill what the kept ones leave free.
+  c.resize(std::min(max_m, done));
+  for (size_t j = 0; j < c.size(); ++j) {
+    c[j].recorded = j < kept ? Decision::kKept : Decision::kPruned;
   }
-  (void)query;
-  return selected;
+  return kept;
 }
 
 Status HnswIndex::Build(const FloatMatrix& data) {
@@ -186,6 +280,9 @@ Status HnswIndex::Build(const FloatMatrix& data) {
   max_level_ = node_level_[0];
 
   const size_t ef_c = static_cast<size_t>(params_.ef_construction);
+  LinkState state(node_level_, MaxDegree(1));
+  std::vector<Candidate> chosen;  // a node's own selection
+  std::vector<Candidate> prune;   // an overflowing back-link list
   for (size_t batch_begin = 1; batch_begin < n; batch_begin += batch) {
     const size_t batch_end = std::min(n, batch_begin + batch);
     const size_t batch_n = batch_end - batch_begin;
@@ -232,28 +329,40 @@ Status HnswIndex::Build(const FloatMatrix& data) {
     // are the only writes, so the build is deterministic for any width.
     for (size_t j = 0; j < batch_n; ++j) {
       const uint32_t i = static_cast<uint32_t>(batch_begin + j);
-      const float* q = data.Row(i);
       const auto& per_level = plans[j];
       for (int lc = static_cast<int>(per_level.size()) - 1; lc >= 0; --lc) {
-        const std::vector<Neighbor>& nearest = per_level[lc];
         const size_t max_m = MaxDegree(lc);
-        std::vector<uint32_t> neighbors = SelectNeighbors(q, nearest, max_m);
-        LinksAt(i, lc) = neighbors;
+        chosen.clear();
+        for (const Neighbor& nb : per_level[lc]) {
+          chosen.push_back({static_cast<uint32_t>(nb.id), nb.distance});
+        }
+        const size_t kept = SelectNeighbors(metric_, data, &chosen, max_m);
+        std::vector<uint32_t>& links = LinksAt(i, lc);
+        links.reserve(chosen.size());
+        state.Store(state.List(i, lc), chosen, kept, &links);
 
-        // Bidirectional connections with degree-bounded pruning.
-        for (uint32_t nb : neighbors) {
-          std::vector<uint32_t>& back = LinksAt(nb, lc);
+        // Bidirectional connections with degree-bounded pruning. The
+        // back-link's distance is the one just used: the kernels are
+        // symmetric, so dist(nb, i) == dist(i, nb) bit for bit.
+        for (const Candidate& nb : chosen) {
+          std::vector<uint32_t>& back = LinksAt(nb.id, lc);
+          const size_t list = state.List(nb.id, lc);
+          if (back.size() == max_m && back.capacity() != max_m + 1) {
+            // The list is about to overflow and stays full from now on:
+            // size it exactly once, since every later prune rewrites it in
+            // place (a doubled capacity would stay with the built index).
+            std::vector<uint32_t> sized;
+            sized.reserve(max_m + 1);
+            sized.assign(back.begin(), back.end());
+            back.swap(sized);
+          }
+          state.Distances(list)[back.size()] = nb.distance;
           back.push_back(i);
           if (back.size() > max_m) {
-            std::vector<Neighbor> cands;
-            cands.reserve(back.size());
-            for (uint32_t b : back) {
-              cands.push_back({static_cast<int64_t>(b),
-                               Distance(metric_, data.Row(nb), data.Row(b),
-                                        data.dim())});
-            }
-            std::sort(cands.begin(), cands.end());
-            back = SelectNeighbors(data.Row(nb), cands, max_m);
+            state.LoadSorted(list, back, &prune);
+            const size_t back_kept =
+                SelectNeighbors(metric_, data, &prune, max_m);
+            state.Store(list, prune, back_kept, &back);
           }
         }
       }

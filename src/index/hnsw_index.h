@@ -8,6 +8,23 @@
 // is deterministic for any executor width; it differs from the sequential
 // (build_threads == 1) graph only in that same-batch nodes do not link to
 // each other, which preserves recall within test tolerance.
+//
+// The commit phase is where a build spends most of its CPU: every back-link
+// that lands in a full adjacency list re-runs the diversity heuristic
+// (SelectNeighbors) over the list. The build keeps each link's distance to
+// the list's owner beside it, and each heuristic run leaves the list as two
+// sorted runs, [kept | pruned], whose decisions the next run reuses. A link
+// is kept iff no selected link before it is closer to it than the owner is,
+// so an old decision can only change when a newly kept link precedes it:
+// a re-prune checks each new link against the kept links before it, each
+// old kept link against the newly kept ones only, and, after the first
+// decision that flips, every later link in full. It selects exactly what a
+// from-scratch run selects, so the graph — link ids, link order, levels
+// and entry point — is byte-identical to the historic from-scratch build
+// for every backend, M, efConstruction and build mode (pinned by the
+// golden digests in tests/build_parity_test.cc). Reusing a stored distance
+// relies on the kernels' symmetry, dist(a, b) == dist(b, a) bit for bit
+// (index/kernels/kernels.h).
 #ifndef VDTUNER_INDEX_HNSW_INDEX_H_
 #define VDTUNER_INDEX_HNSW_INDEX_H_
 
@@ -21,6 +38,35 @@ namespace vdt {
 
 class HnswIndex : public VectorIndex {
  public:
+  /// A link offered to SelectNeighbors: its target, its distance to the
+  /// list's owner, and the decision an earlier heuristic run over the same
+  /// list recorded for it (kNone for a link no run has seen).
+  struct Candidate {
+    enum class Decision : uint8_t { kNone, kKept, kPruned };
+
+    uint32_t id = 0;
+    float distance = 0.f;
+    Decision recorded = Decision::kNone;
+
+    /// Ascending (distance, id), the order of Neighbor.
+    bool operator<(const Candidate& other) const {
+      return distance < other.distance ||
+             (distance == other.distance && id < other.id);
+    }
+  };
+
+  /// Malkov's diversity heuristic: selects up to `max_m` links from
+  /// `cands` (sorted ascending), keeping a link only if it is no closer to
+  /// any already-kept link than to the owner, then backfilling with pruned
+  /// links in order. Recorded decisions must come from an earlier run over
+  /// the same list (with links added since marked kNone); they only save
+  /// distance computations and never change the result, which equals a run
+  /// with every decision kNone. On return `cands` holds the selection,
+  /// [kept | pruned], each link marked with its new decision; the return
+  /// value is the kept count.
+  static size_t SelectNeighbors(Metric metric, const FloatMatrix& data,
+                                std::vector<Candidate>* cands, size_t max_m);
+
   HnswIndex(Metric metric, const IndexParams& params, uint64_t seed)
       : metric_(metric), params_(params), seed_(seed) {}
 
@@ -59,13 +105,6 @@ class HnswIndex : public VectorIndex {
                                     size_t ef, int level,
                                     const RowFilter* filter,
                                     WorkCounters* counters) const;
-
-  /// Malkov's diversity heuristic: selects up to `max_m` neighbors from
-  /// `candidates` (sorted ascending), preferring candidates closer to the
-  /// query than to any already-selected neighbor.
-  std::vector<uint32_t> SelectNeighbors(const float* query,
-                                        const std::vector<Neighbor>& candidates,
-                                        size_t max_m) const;
 
   std::vector<uint32_t>& LinksAt(uint32_t node, int level);
   const std::vector<uint32_t>& LinksAt(uint32_t node, int level) const;

@@ -12,6 +12,12 @@
 // blocks a scan. Consequently batch kernels are *block-invariant*: splitting
 // one n-row batch into any sequence of sub-batches produces bit-identical
 // per-row results, and `dot(a, b, dim) == dot_batch(a, b, dim, 1)` exactly.
+// Every scheme is also *symmetric*: it treats its two operands alike (a
+// product a*b, a difference whose square is sign-blind), so
+// `dot(a, b) == dot(b, a)` and `l2(a, b) == l2(b, a)` bit for bit, and the
+// batch row value matches whichever operand is the query. HNSW
+// construction relies on this when it reuses the distance of a link for
+// the reverse link; tests/kernel_test.cc checks it for every backend.
 // Different backends use different (documented) schemes, so results are
 // bit-stable per backend per machine, and agree across backends only within
 // the tolerance bounds below.

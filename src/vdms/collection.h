@@ -57,7 +57,8 @@ struct IndexSpec {
 };
 
 /// Dataset-scale context that converts the synthetic stand-in dataset to the
-/// paper-scale deployment it represents (see DESIGN.md "Substitutions").
+/// paper-scale deployment it represents (see docs/ARCHITECTURE.md
+/// "Substitutions").
 ///
 /// Two scales are deliberately separate:
 ///  - `dataset_mb` drives the *segment layout*: how many actual rows an MB

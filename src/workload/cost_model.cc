@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "index/auto_index.h"
+
 namespace vdt {
 
 double ComputeQps(const CostModelParams& params, const WorkCounters& work,
@@ -99,12 +101,13 @@ double AnalyticBuildSeconds(const CostModelParams& params, IndexType type,
       break;
     }
     case IndexType::kHnsw:
-      flops = n * index_params.ef_construction * d * 1.5 +
-              n * index_params.hnsw_m * d;
+    case IndexType::kAutoIndex: {
+      const IndexParams hnsw = type == IndexType::kAutoIndex
+                                   ? AutoIndexHnswProfile()
+                                   : index_params;
+      flops = n * hnsw.ef_construction * d * 1.5 + n * hnsw.hnsw_m * d;
       break;
-    case IndexType::kAutoIndex:
-      flops = n * 128.0 * d * 1.5 + n * 16.0 * d;  // its HNSW profile
-      break;
+    }
   }
   return flops / build_rate;
 }

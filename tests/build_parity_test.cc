@@ -12,9 +12,11 @@
 #include <string>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/parallel_executor.h"
 #include "index/index.h"
 #include "index/ivf_index.h"
+#include "index/kernels/kernels.h"
 #include "index/kmeans.h"
 #include "tests/test_util.h"
 #include "tuner/evaluator.h"
@@ -25,8 +27,10 @@
 namespace vdt {
 namespace {
 
+using testing_util::BackendGuard;
 using testing_util::ClusteredMatrix;
 using testing_util::RandomMatrix;
+
 
 // Bit-exact matrix comparison (the determinism contract is exact, not
 // approximate: the parallel passes must reproduce the sequential floats).
@@ -212,6 +216,104 @@ TEST(HnswBuildParityTest, SequentialAndBatchedGraphsRecallEquivalent) {
   EXPECT_GT(r_seq, 0.85);
   EXPECT_GT(r_par, 0.85);
   EXPECT_NEAR(r_seq, r_par, 0.08);
+}
+
+// Golden HNSW graphs: SerializeState digests (64-bit FNV-1a over the bytes:
+// link ids, link order, levels and entry point) captured under the scalar
+// backend before the build's degree-overflow prune began reusing its earlier
+// neighbor-selection decisions. Any build change must reproduce every graph
+// exactly, so tuner histories, build-cache signatures and recalls stay put.
+struct GoldenGraph {
+  int m;
+  int ef_construction;
+  int build_threads;
+  Metric metric;
+  size_t rows;
+  uint64_t digest;
+};
+
+uint64_t Fnv1a64(const std::vector<uint8_t>& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+constexpr GoldenGraph kGoldenGraphs[] = {
+    {4, 16, 1, Metric::kL2, 600, 0xa9d604c9e0ee098full},
+    {4, 16, 1, Metric::kL2, 3000, 0x429a23da0be5b4ccull},
+    {4, 16, 1, Metric::kAngular, 600, 0xda8caa14c88d78eeull},
+    {4, 16, 1, Metric::kAngular, 3000, 0x441fc63da3e6047aull},
+    {4, 16, 2, Metric::kL2, 600, 0xff287e166795bfa2ull},
+    {4, 16, 2, Metric::kL2, 3000, 0x7055b31a710e6521ull},
+    {4, 16, 2, Metric::kAngular, 600, 0xefb25a8dbb7ff8e7ull},
+    {4, 16, 2, Metric::kAngular, 3000, 0xb3beb3da3add2416ull},
+    {4, 96, 1, Metric::kL2, 600, 0x3dd6017f94aece67ull},
+    {4, 96, 1, Metric::kL2, 3000, 0xab81db9a3b428057ull},
+    {4, 96, 1, Metric::kAngular, 600, 0x80210ab5a1423a43ull},
+    {4, 96, 1, Metric::kAngular, 3000, 0xa7ae330182f72adbull},
+    {4, 96, 2, Metric::kL2, 600, 0x05c181e1378e2c5full},
+    {4, 96, 2, Metric::kL2, 3000, 0x803ce6410fe5e56bull},
+    {4, 96, 2, Metric::kAngular, 600, 0xfdaeff975a62b2e0ull},
+    {4, 96, 2, Metric::kAngular, 3000, 0xed83e28d9647d63bull},
+    {16, 16, 1, Metric::kL2, 600, 0xe08ee744d04e107eull},
+    {16, 16, 1, Metric::kL2, 3000, 0x960e2ec3bfefa360ull},
+    {16, 16, 1, Metric::kAngular, 600, 0x76e610c6e0b7550bull},
+    {16, 16, 1, Metric::kAngular, 3000, 0x882e2298e79d2884ull},
+    {16, 16, 2, Metric::kL2, 600, 0x8336cec93adf2e9bull},
+    {16, 16, 2, Metric::kL2, 3000, 0xfa32267758ed25cbull},
+    {16, 16, 2, Metric::kAngular, 600, 0x9a1619cb694ff5cdull},
+    {16, 16, 2, Metric::kAngular, 3000, 0xdab42035fbe4ab03ull},
+    {16, 96, 1, Metric::kL2, 600, 0x7a43586ef0cdfb00ull},
+    {16, 96, 1, Metric::kL2, 3000, 0x9370bde7faf96d8cull},
+    {16, 96, 1, Metric::kAngular, 600, 0xf916b4257bb87cf5ull},
+    {16, 96, 1, Metric::kAngular, 3000, 0x2ed30eac127bf601ull},
+    {16, 96, 2, Metric::kL2, 600, 0x243f9c8709ca937cull},
+    {16, 96, 2, Metric::kL2, 3000, 0x26bfbc560dbf2932ull},
+    {16, 96, 2, Metric::kAngular, 600, 0xee1f36ee9b167236ull},
+    {16, 96, 2, Metric::kAngular, 3000, 0xf5d34ca045608974ull},
+    {49, 16, 1, Metric::kL2, 600, 0xff25dd04e4385c26ull},
+    {49, 16, 1, Metric::kL2, 3000, 0x142146846cf1f08dull},
+    {49, 16, 1, Metric::kAngular, 600, 0x4eb5a4dd8633d965ull},
+    {49, 16, 1, Metric::kAngular, 3000, 0x3e993ff54be65c4cull},
+    {49, 16, 2, Metric::kL2, 600, 0x1525d24203d83b8full},
+    {49, 16, 2, Metric::kL2, 3000, 0x8240cb02a1ddaab2ull},
+    {49, 16, 2, Metric::kAngular, 600, 0xef9d79fae88fa5efull},
+    {49, 16, 2, Metric::kAngular, 3000, 0xbde42d5f9dc91109ull},
+    {49, 96, 1, Metric::kL2, 600, 0xaa8a81a634d257dfull},
+    {49, 96, 1, Metric::kL2, 3000, 0x1f389055a891b35full},
+    {49, 96, 1, Metric::kAngular, 600, 0x1538b74d04a529a7ull},
+    {49, 96, 1, Metric::kAngular, 3000, 0x74064dff2a8308f8ull},
+    {49, 96, 2, Metric::kL2, 600, 0xd99682e44179c468ull},
+    {49, 96, 2, Metric::kL2, 3000, 0x098979254e060c32ull},
+    {49, 96, 2, Metric::kAngular, 600, 0x1121dee98d821f31ull},
+    {49, 96, 2, Metric::kAngular, 3000, 0x4e427946b46ee9b1ull},
+};
+
+TEST(HnswBuildParityTest, GraphsMatchGoldenDigests) {
+  BackendGuard guard;
+  ASSERT_TRUE(kernels::SetActive("scalar"));
+  const size_t dim = 24;
+  for (const GoldenGraph& g : kGoldenGraphs) {
+    // Unnormalized rows under L2, so the two metrics see different geometry.
+    const FloatMatrix data =
+        ClusteredMatrix(g.rows, dim, 12, 0.3, 81, g.metric != Metric::kL2);
+    IndexParams params;
+    params.hnsw_m = g.m;
+    params.ef_construction = g.ef_construction;
+    params.build_threads = g.build_threads;
+    auto index = CreateIndex(IndexType::kHnsw, g.metric, params, 5);
+    ASSERT_TRUE(index->Build(data).ok());
+    std::vector<uint8_t> bytes;
+    ByteWriter writer(&bytes);
+    ASSERT_TRUE(index->SerializeState(&writer).ok());
+    EXPECT_EQ(Fnv1a64(bytes), g.digest)
+        << "M=" << g.m << " efConstruction=" << g.ef_construction
+        << " build_threads=" << g.build_threads << " "
+        << MetricName(g.metric) << " rows=" << g.rows;
+  }
 }
 
 TEST(HnswBuildParityTest, SignatureRecordsModeButNeverWidth) {

@@ -15,19 +15,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/env.h"
 #include "common/random.h"
 #include "index/distance.h"
 #include "index/kernels/kernels.h"
+#include "tests/test_util.h"
 
 namespace vdt {
 namespace {
+
+using testing_util::BackendGuard;
 
 // ----------------------------------------------------- dispatch startup
 
@@ -48,18 +53,6 @@ TEST(KernelDispatchStartup, ActiveMatchesEnvRequest) {
 }
 
 // ------------------------------------------------------------- helpers
-
-/// Restores the active backend on scope exit, so tests that swap backends
-/// never leak state into later tests (or into the other suites when run
-/// under a specific VDT_KERNEL).
-class BackendGuard {
- public:
-  BackendGuard() : saved_(kernels::Active().name) {}
-  ~BackendGuard() { kernels::SetActive(saved_); }
-
- private:
-  std::string saved_;
-};
 
 struct Oracle {
   double value;      // exact (double-accumulated) result
@@ -247,6 +240,34 @@ TEST_P(KernelOracleTest, BatchKernelsAreBlockInvariantBitwise) {
                          &blocked[begin]);
       }
       EXPECT_EQ(blocked, full_l2) << "dim=" << dim << " block=" << block;
+    }
+  }
+}
+
+// Symmetry, the contract HNSW construction relies on when it reuses a
+// stored link distance for the reverse link: swapping the operands, or
+// serving either side as a batch row, changes no bit.
+TEST_P(KernelOracleTest, DotAndL2AreSymmetricBitwise) {
+  const kernels::Backend& backend = *GetParam();
+  constexpr size_t kRows = 3;
+  auto bits = [](float v) { return std::bit_cast<uint32_t>(v); };
+  Rng rng(0x5E7);
+  std::vector<float> a(257), b(257), rows(kRows * 257), out(kRows);
+  for (size_t dim = 1; dim <= 257; ++dim) {
+    FillRandom(a.data(), dim, 2.0, &rng);
+    FillRandom(b.data(), dim, 2.0, &rng);
+    const uint32_t dot = bits(backend.dot(a.data(), b.data(), dim));
+    const uint32_t l2 = bits(backend.l2(a.data(), b.data(), dim));
+    EXPECT_EQ(bits(backend.dot(b.data(), a.data(), dim)), dot) << dim;
+    EXPECT_EQ(bits(backend.l2(b.data(), a.data(), dim)), l2) << dim;
+    // Each operand as the query, the other as the middle row of a batch.
+    for (const auto& [query, row] : {std::pair(&a, &b), std::pair(&b, &a)}) {
+      FillRandom(rows.data(), kRows * dim, 2.0, &rng);
+      std::copy_n(row->data(), dim, &rows[dim]);
+      backend.dot_batch(query->data(), rows.data(), dim, kRows, out.data());
+      EXPECT_EQ(bits(out[1]), dot) << dim;
+      backend.l2_batch(query->data(), rows.data(), dim, kRows, out.data());
+      EXPECT_EQ(bits(out[1]), l2) << dim;
     }
   }
 }

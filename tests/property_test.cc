@@ -2,16 +2,18 @@
 // sweeps — collection search correctness under arbitrary segment layouts,
 // the dynamic-lifecycle oracle harness (randomized insert/delete/search
 // sequences against a brute-force live-set reference, across seal and
-// compaction boundaries), index recall monotonicity, hypervolume
-// monotonicity, NPI/EHVI sanity, cost-model monotonicities, and
-// failure-injection paths.
+// compaction boundaries), index recall monotonicity, HNSW prune decision
+// reuse, hypervolume monotonicity, NPI/EHVI sanity, cost-model
+// monotonicities, and failure-injection paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <tuple>
 #include <utility>
 
+#include "index/hnsw_index.h"
 #include "mobo/ehvi.h"
 #include "mobo/hypervolume.h"
 #include "tests/test_util.h"
@@ -423,6 +425,74 @@ TEST(FailureInjectionTest, InfeasibleConfigsFailCleanly) {
     const EvalOutcome out = evaluator.Evaluate(c);
     EXPECT_GT(out.eval_seconds, 0.0);
   }
+}
+
+// ---------------------------------------------- HNSW prune decision reuse
+
+// An adjacency list evolves as the HNSW build drives it: an initial
+// selection, then new links appended one to three at a time, re-pruned
+// whenever the list overflows. Every prune reuses the decisions the list's
+// last run recorded; it must select exactly what a from-scratch run of the
+// same routine selects over the same links — same ids, same order, same
+// kept count. Low dimensions and duplicated rows (exact distance ties)
+// make decisions flip often.
+TEST(HnswPruneReuseTest, ReusedDecisionsMatchFromScratch) {
+  using Candidate = HnswIndex::Candidate;
+  using Decision = Candidate::Decision;
+  size_t prunes = 0;
+  for (uint64_t seed = 1; seed <= 48; ++seed) {
+    Rng rng(seed);
+    const size_t rows = 400;
+    const size_t dim = 2 + static_cast<size_t>(rng.UniformInt(9));
+    const Metric metric = seed % 2 == 0 ? Metric::kL2 : Metric::kAngular;
+    FloatMatrix data = seed % 3 == 0
+                           ? ClusteredMatrix(rows, dim, 6, 0.2, seed)
+                           : RandomMatrix(rows, dim, seed);
+    for (int copies = 0; copies < 40; ++copies) {
+      const size_t from = static_cast<size_t>(rng.UniformInt(rows));
+      const size_t to = static_cast<size_t>(rng.UniformInt(rows));
+      std::copy_n(data.Row(from), dim, data.Row(to));
+    }
+    const uint32_t owner = 0;
+    const size_t max_m = 2 + static_cast<size_t>(rng.UniformInt(30));
+    std::vector<uint32_t> pool(rows - 1);
+    for (uint32_t id = 1; id < rows; ++id) pool[id - 1] = id;
+    rng.Shuffle(&pool);
+    size_t next = 0;
+    auto draw = [&] {
+      const uint32_t id = pool[next++];
+      const float d = Distance(metric, data.Row(owner), data.Row(id), dim);
+      return Candidate{id, d};
+    };
+
+    std::vector<Candidate> list;
+    const size_t initial = 1 + static_cast<size_t>(rng.UniformInt(3 * max_m));
+    for (size_t j = 0; j < initial; ++j) list.push_back(draw());
+    std::sort(list.begin(), list.end());
+    HnswIndex::SelectNeighbors(metric, data, &list, max_m);
+
+    while (next + 3 <= pool.size()) {
+      const size_t added = 1 + static_cast<size_t>(rng.UniformInt(3));
+      for (size_t j = 0; j < added; ++j) list.push_back(draw());
+      if (list.size() <= max_m) continue;
+      // The recorded decisions ride along through the sort.
+      std::sort(list.begin(), list.end());
+      std::vector<Candidate> scratch = list;
+      for (Candidate& c : scratch) c.recorded = Decision::kNone;
+      const size_t kept =
+          HnswIndex::SelectNeighbors(metric, data, &list, max_m);
+      const size_t kept_scratch =
+          HnswIndex::SelectNeighbors(metric, data, &scratch, max_m);
+      ++prunes;
+      ASSERT_EQ(kept, kept_scratch) << "seed " << seed;
+      ASSERT_EQ(list.size(), scratch.size()) << "seed " << seed;
+      for (size_t j = 0; j < list.size(); ++j) {
+        ASSERT_EQ(list[j].id, scratch[j].id) << "seed " << seed << " " << j;
+        ASSERT_EQ(list[j].recorded, scratch[j].recorded) << "seed " << seed;
+      }
+    }
+  }
+  EXPECT_GT(prunes, 5000u);
 }
 
 // ------------------------------------------------------------- replay k

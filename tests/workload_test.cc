@@ -6,6 +6,7 @@
 #include <cmath>
 #include <set>
 
+#include "index/auto_index.h"
 #include "tests/test_util.h"
 #include "workload/churn.h"
 #include "workload/replay.h"
@@ -187,6 +188,21 @@ TEST(CostModelTest, BuildTimeOrdering) {
   big.ef_construction = 512;
   EXPECT_GT(AnalyticBuildSeconds(p, IndexType::kHnsw, big, 1e6, 100), hnsw);
   EXPECT_GT(AnalyticLoadSeconds(p, 1e6, 100), 0.0);
+}
+
+// AUTOINDEX is costed as the HNSW profile it builds, whatever knobs the
+// configuration carries.
+TEST(CostModelTest, AutoIndexBuildCostsItsHnswProfile) {
+  CostModelParams p;
+  const IndexParams profile = AutoIndexHnswProfile();
+  EXPECT_EQ(profile.hnsw_m, 16);
+  EXPECT_EQ(profile.ef_construction, 128);
+  EXPECT_EQ(profile.ef, 64);
+  IndexParams knobs;
+  knobs.hnsw_m = 40;
+  knobs.ef_construction = 300;
+  EXPECT_EQ(AnalyticBuildSeconds(p, IndexType::kAutoIndex, knobs, 1e6, 100),
+            AnalyticBuildSeconds(p, IndexType::kHnsw, profile, 1e6, 100));
 }
 
 // ------------------------------------------------------------ replay
