@@ -1,20 +1,12 @@
 // Microbenchmark (google-benchmark): engine search QPS vs client thread
-// count, snapshot read path vs the old engine-serialized path.
+// count on the snapshot read path.
 //
-// Before the snapshot redesign every VdmsEngine::Search held one engine-wide
-// mutex for the whole search, so QPS flat-lined (or regressed) as client
-// threads were added. Snapshot reads hold no lock while searching, so QPS
-// scales with the clients. The serialized path survives only behind
-// VdmsEngineOptions::serialize_reads — a bench-only compatibility flag —
-// precisely so this file can keep measuring what the redesign buys.
-//
-// Threads sweep {1, 2, 4, 8}; compare items_per_second between
-// BM_EngineSearch_Snapshot and BM_EngineSearch_Serialized at equal thread
-// counts. A second pair measures search throughput while a writer thread
-// continuously deletes and compacts — the serialized path stalls behind the
-// writer's lock hold times; the snapshot path does not. A final sweep
-// (BM_EngineSearchShardSweep) measures QPS and p99 latency vs the
-// collection's shard count at a fixed client-thread budget.
+// Snapshot reads hold no engine or collection lock while searching, so QPS
+// should scale with the client threads {1, 2, 4, 8} (BM_EngineSearch,
+// BM_EngineSearch_IvfPq). BM_EngineSearchDuringChurn measures search
+// throughput while a writer thread continuously inserts, deletes and
+// compacts. A final sweep (BM_EngineSearchShardSweep) measures QPS and p99
+// latency vs the collection's shard count at a fixed client-thread budget.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -39,12 +31,6 @@ constexpr size_t kDim = 48;
 constexpr size_t kQueries = 64;
 constexpr size_t kK = 10;
 
-VdmsEngineOptions EngineOptions(bool serialize_reads) {
-  VdmsEngineOptions options;
-  options.serialize_reads = serialize_reads;
-  return options;
-}
-
 CollectionOptions BenchOptions(const std::string& name, int num_shards = 1,
                                IndexType index_type = IndexType::kIvfFlat) {
   CollectionOptions opts;
@@ -61,13 +47,12 @@ CollectionOptions BenchOptions(const std::string& name, int num_shards = 1,
   return opts;
 }
 
-/// One engine per read-path variant (and shard count), stood up once and
-/// shared across every thread count of the sweep.
+/// One engine per benchmark (and shard count), stood up once and shared
+/// across every thread count of the sweep.
 struct EngineFixture {
-  explicit EngineFixture(bool serialize_reads, int num_shards = 1,
+  explicit EngineFixture(int num_shards = 1,
                          IndexType index_type = IndexType::kIvfFlat)
-      : engine(EngineOptions(serialize_reads)),
-        data(GenerateDataset(DatasetProfile::kGlove, kRows, kDim, 7)),
+      : data(GenerateDataset(DatasetProfile::kGlove, kRows, kDim, 7)),
         queries(GenerateQueries(DatasetProfile::kGlove, kQueries, kDim, 11)) {
     engine.CreateCollection(BenchOptions("bench", num_shards, index_type));
     engine.Insert("bench", data);
@@ -78,16 +63,6 @@ struct EngineFixture {
   FloatMatrix data;
   FloatMatrix queries;
 };
-
-EngineFixture& Snapshot() {
-  static EngineFixture fixture(/*serialize_reads=*/false);
-  return fixture;
-}
-
-EngineFixture& Serialized() {
-  static EngineFixture fixture(/*serialize_reads=*/true);
-  return fixture;
-}
 
 void RunSearchLoop(benchmark::State& state, EngineFixture& fixture) {
   // Each client thread walks the query set from its own offset.
@@ -105,21 +80,12 @@ void RunSearchLoop(benchmark::State& state, EngineFixture& fixture) {
   state.SetItemsProcessed(state.iterations());
 }
 
-void BM_EngineSearch_Snapshot(benchmark::State& state) {
-  RunSearchLoop(state, Snapshot());
+void BM_EngineSearch(benchmark::State& state) {
+  static EngineFixture fixture;
+  RunSearchLoop(state, fixture);
 }
 
-void BM_EngineSearch_Serialized(benchmark::State& state) {
-  RunSearchLoop(state, Serialized());
-}
-
-BENCHMARK(BM_EngineSearch_Snapshot)
-    ->Threads(1)
-    ->Threads(2)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
-BENCHMARK(BM_EngineSearch_Serialized)
+BENCHMARK(BM_EngineSearch)
     ->Threads(1)
     ->Threads(2)
     ->Threads(4)
@@ -142,8 +108,7 @@ BENCHMARK(BM_EngineSearch_Serialized)
 /// slot runs instead of a per-row scalar accumulate) the rewrite measured
 /// +13-23% QPS over the allocate-per-query scalar-scan path.
 void BM_EngineSearch_IvfPq(benchmark::State& state) {
-  static EngineFixture fixture(/*serialize_reads=*/false, /*num_shards=*/1,
-                               IndexType::kIvfPq);
+  static EngineFixture fixture(/*num_shards=*/1, IndexType::kIvfPq);
   RunSearchLoop(state, fixture);
 }
 
@@ -154,28 +119,17 @@ BENCHMARK(BM_EngineSearch_IvfPq)
     ->Threads(8)
     ->UseRealTime();
 
-EngineFixture& ChurnSnapshot() {
-  static EngineFixture fixture(/*serialize_reads=*/false);
-  return fixture;
-}
-
-EngineFixture& ChurnSerialized() {
-  static EngineFixture fixture(/*serialize_reads=*/true);
-  return fixture;
-}
-
 /// Searches racing a writer that keeps inserting, deleting, and compacting.
 /// The writer rotates a window — each round inserts 64 rows and deletes the
 /// 64 it inserted the round before — so the live population stays ~kRows no
 /// matter how long the benchmark runs.
-void RunChurnLoop(benchmark::State& state, bool serialize_reads) {
-  EngineFixture& fixture =
-      serialize_reads ? ChurnSerialized() : ChurnSnapshot();
+void BM_EngineSearchDuringChurn(benchmark::State& state) {
+  static EngineFixture fixture;
   static std::atomic<bool> stop{false};
   static std::thread writer;
   if (state.thread_index() == 0) {
     stop.store(false);
-    writer = std::thread([&fixture] {
+    writer = std::thread([] {
       int64_t prev_base = -1;
       uint64_t round = 0;
       while (!stop.load(std::memory_order_relaxed)) {
@@ -203,16 +157,7 @@ void RunChurnLoop(benchmark::State& state, bool serialize_reads) {
   }
 }
 
-void BM_EngineSearchDuringChurn_Snapshot(benchmark::State& state) {
-  RunChurnLoop(state, /*serialize_reads=*/false);
-}
-
-void BM_EngineSearchDuringChurn_Serialized(benchmark::State& state) {
-  RunChurnLoop(state, /*serialize_reads=*/true);
-}
-
-BENCHMARK(BM_EngineSearchDuringChurn_Snapshot)->Threads(4)->UseRealTime();
-BENCHMARK(BM_EngineSearchDuringChurn_Serialized)->Threads(4)->UseRealTime();
+BENCHMARK(BM_EngineSearchDuringChurn)->Threads(4)->UseRealTime();
 
 /// One fixture per shard count of the sweep, stood up on first use.
 EngineFixture& ShardSweep(int num_shards) {
@@ -222,8 +167,7 @@ EngineFixture& ShardSweep(int num_shards) {
   std::lock_guard<std::mutex> lock(mu);
   auto& fixture = (*fixtures)[num_shards];
   if (fixture == nullptr) {
-    fixture = std::make_unique<EngineFixture>(/*serialize_reads=*/false,
-                                              num_shards);
+    fixture = std::make_unique<EngineFixture>(num_shards);
   }
   return *fixture;
 }

@@ -15,6 +15,9 @@
 //     recovered with Open()) vs BM_SearchHeap (the same collection built
 //     in-memory) at equal thread counts should be at parity — a gap here
 //     means the borrow path added indirection to the distance kernels.
+//     The collection is HNSW, whose searches read the segment's vectors.
+//     (IVF_FLAT would not do: it keeps its own list-major copy of the rows,
+//     so a restored IVF_FLAT segment is heap-held, not mmap-served.)
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -36,9 +39,10 @@ CollectionOptions BenchOptions(const std::string& name) {
   CollectionOptions opts;
   opts.name = name;
   opts.metric = Metric::kAngular;
-  opts.index.type = IndexType::kIvfFlat;
-  opts.index.params.nlist = 64;
-  opts.index.params.nprobe = 8;
+  opts.index.type = IndexType::kHnsw;
+  opts.index.params.hnsw_m = 16;
+  opts.index.params.ef_construction = 96;
+  opts.index.params.ef = 64;
   opts.scale.dataset_mb = 472.0;
   opts.scale.actual_rows = kRows;
   opts.system.num_shards = 2;

@@ -149,9 +149,9 @@ class VectorIndex {
  public:
   virtual ~VectorIndex() = default;
 
-  /// Builds the index over `data` (copied or referenced internally; `data`
-  /// must outlive the index). Returns InvalidArgument for infeasible
-  /// parameters (e.g. PQ m not dividing dim) — the error message names the
+  /// Builds the index over `data` (referenced internally, so `data` must
+  /// outlive the index unless HoldsRows()). Returns InvalidArgument for
+  /// infeasible parameters (e.g. PQ m not dividing dim) — the error names the
   /// index type and the offending parameter, and the evaluator surfaces
   /// these as failed configurations, mirroring the paper's crash handling.
   ///
@@ -226,9 +226,19 @@ class VectorIndex {
   /// `knobs` override to SearchFiltered instead.
   virtual void UpdateSearchParams(const IndexParams& params) { (void)params; }
 
-  /// Bytes used by the index structures (excluding the raw vectors unless
-  /// the index stores its own copy).
+  /// Bytes used by the index structures, excluding the raw vectors: the
+  /// memory model charges those once, as the collection's stored rows,
+  /// whether the segment or the index holds them (see HoldsRows).
   virtual size_t MemoryBytes() const = 0;
+
+  /// True when the index keeps its own copy of the rows it was built or
+  /// restored over (IVF_FLAT stores them list-major), so the matrix passed
+  /// to Build/RestoreState need not outlive it; CopyRows reproduces them.
+  virtual bool HoldsRows() const { return false; }
+
+  /// Writes the held rows in local-id order to `out` (Size() * dim floats).
+  /// Only valid when HoldsRows().
+  virtual void CopyRows(float* out) const { (void)out; }
 
   virtual IndexType type() const = 0;
   const char* Name() const { return IndexTypeName(type()); }
@@ -245,11 +255,12 @@ class VectorIndex {
 
   /// Rebuilds the index from bytes produced by SerializeState, attaching it
   /// to `data` (which must hold the exact rows the state was built over and
-  /// must outlive the index — typically the mmap'd vector section). Total
-  /// over arbitrary input: malformed or truncated bytes yield a typed
-  /// InvalidArgument and every internal reference (posting-list ids, graph
-  /// links, code widths) is validated against `data` before use, so a
-  /// corrupt file can never cause an out-of-bounds access later.
+  /// must outlive the index unless HoldsRows() — typically the mmap'd
+  /// vector section). Total over arbitrary input: malformed or truncated
+  /// bytes yield a typed InvalidArgument and every internal reference
+  /// (posting-list ids, graph links, code widths) is validated against
+  /// `data` before use, so a corrupt file can never cause an out-of-bounds
+  /// access later.
   virtual Status RestoreState(ByteReader* reader, const FloatMatrix& data) = 0;
 };
 

@@ -12,6 +12,36 @@
 
 namespace vdt {
 
+namespace {
+
+/// Calls score(j, n) for each run [j, j + n) of consecutive posting-list
+/// slots whose rows `filter` declares live, in slot order, each run at most
+/// kDistanceScanBlock long; dead slots cost no distance evaluation. Returns
+/// the number of live slots scored.
+template <typename ScoreRun>
+uint64_t ScanLiveRuns(const std::vector<int64_t>& ids, const RowFilter* filter,
+                      ScoreRun&& score) {
+  uint64_t scanned = 0;
+  size_t j = 0;
+  while (j < ids.size()) {
+    if (!RowIsLive(filter, ids[j])) {
+      ++j;
+      continue;
+    }
+    size_t run = j + 1;
+    while (run < ids.size() && run - j < kDistanceScanBlock &&
+           RowIsLive(filter, ids[run])) {
+      ++run;
+    }
+    score(j, run - j);
+    scanned += run - j;
+    j = run;
+  }
+  return scanned;
+}
+
+}  // namespace
+
 Status IvfBaseIndex::Build(const FloatMatrix& data) {
   if (data.empty()) {
     return Status::InvalidArgument(std::string(Name()) +
@@ -22,7 +52,7 @@ Status IvfBaseIndex::Build(const FloatMatrix& data) {
                                    " build: nlist must be >= 1 (got " +
                                    std::to_string(params_.nlist) + ")");
   }
-  data_ = &data;
+  rows_ = data.rows();
 
   ParallelExecutor* executor = ResolveBuildExecutor(params_.build_threads);
 
@@ -41,7 +71,7 @@ Status IvfBaseIndex::Build(const FloatMatrix& data) {
 }
 
 Status IvfBaseIndex::SerializeState(ByteWriter* writer) const {
-  if (data_ == nullptr) {
+  if (rows_ == 0) {
     return Status::FailedPrecondition(std::string(Name()) +
                                       " serialize: index not built");
   }
@@ -71,7 +101,7 @@ Status IvfBaseIndex::RestoreState(ByteReader* reader, const FloatMatrix& data) {
   if (list_ids_.size() != centroids_.rows()) {
     return MalformedIndexState(Name(), "posting-list count");
   }
-  data_ = &data;
+  rows_ = data.rows();
   return RestoreExtra(reader, data);
 }
 
@@ -96,36 +126,74 @@ std::vector<int32_t> IvfBaseIndex::ProbeLists(const float* query, int nprobe_in,
 
 // ---------------------------------------------------------------- IVF_FLAT
 
+Status IvfFlatIndex::EncodeLists(const FloatMatrix& data,
+                                 ParallelExecutor* executor) {
+  const size_t dim = data.dim();
+  list_offsets_.assign(list_ids_.size() + 1, 0);
+  for (size_t l = 0; l < list_ids_.size(); ++l) {
+    list_offsets_[l + 1] = list_offsets_[l] + list_ids_[l].size();
+  }
+  // One task per list, each filling its own disjoint block.
+  list_rows_ = FloatMatrix(list_offsets_.back(), dim);
+  auto copy_list = [&](size_t l) {
+    const std::vector<int64_t>& ids = list_ids_[l];
+    for (size_t j = 0; j < ids.size(); ++j) {
+      std::copy_n(data.Row(static_cast<size_t>(ids[j])), dim,
+                  list_rows_.Row(list_offsets_[l] + j));
+    }
+  };
+  ParallelForOrInline(executor, list_ids_.size(), copy_list);
+  return Status::OK();
+}
+
+Status IvfFlatIndex::RestoreExtra(ByteReader* reader, const FloatMatrix& data) {
+  (void)reader;
+  // CopyRows scatters the list-major rows back to local order, so the lists
+  // must cover every row exactly once (a built index always does).
+  std::vector<uint8_t> seen(data.rows(), 0);
+  size_t covered = 0;
+  for (const auto& list : list_ids_) {
+    for (int64_t id : list) {
+      if (seen[static_cast<size_t>(id)] != 0) {
+        return MalformedIndexState(Name(), "posting-list coverage");
+      }
+      seen[static_cast<size_t>(id)] = 1;
+      ++covered;
+    }
+  }
+  if (covered != data.rows()) {
+    return MalformedIndexState(Name(), "posting-list coverage");
+  }
+  return EncodeLists(data, nullptr);
+}
+
+void IvfFlatIndex::CopyRows(float* out) const {
+  const size_t dim = list_rows_.dim();
+  for (size_t l = 0; l < list_ids_.size(); ++l) {
+    const float* block = list_rows_.RawData() + list_offsets_[l] * dim;
+    for (size_t j = 0; j < list_ids_[l].size(); ++j) {
+      std::copy_n(block + j * dim, dim,
+                  out + static_cast<size_t>(list_ids_[l][j]) * dim);
+    }
+  }
+}
+
 std::vector<Neighbor> IvfFlatIndex::SearchFiltered(
     const float* query, size_t k, const RowFilter* filter,
     WorkCounters* counters, const IndexParams* knobs) const {
+  const size_t dim = list_rows_.dim();
   TopKCollector topk(k);
   uint64_t scanned = 0;
-  // Posting lists store row ids, not row copies, so members are scattered
-  // in the segment matrix — except that insertion order makes consecutive
-  // ids common within a list. Runs of consecutive live ids scan through the
-  // one-to-many kernel; isolated rows fall back to the one-row kernel
-  // (identical values either way, by block-invariance).
+  // Each list's rows are one contiguous block (list slot j at rows +
+  // j * dim), so live slot runs stream through the one-to-many kernel.
   float dist[kDistanceScanBlock];
   for (int32_t list : ProbeLists(query, EffectiveNprobe(knobs), counters)) {
     const auto& ids = list_ids_[list];
-    size_t j = 0;
-    while (j < ids.size()) {
-      if (!RowIsLive(filter, ids[j])) {
-        ++j;
-        continue;
-      }
-      size_t run = j + 1;
-      while (run < ids.size() && run - j < kDistanceScanBlock &&
-             ids[run] == ids[run - 1] + 1 && RowIsLive(filter, ids[run])) {
-        ++run;
-      }
-      DistanceBatch(metric_, query, data_->Row(ids[j]), data_->dim(), run - j,
-                    dist);
-      for (size_t t = 0; t < run - j; ++t) topk.Offer(ids[j + t], dist[t]);
-      scanned += run - j;
-      j = run;
-    }
+    const float* rows = list_rows_.RawData() + list_offsets_[list] * dim;
+    scanned += ScanLiveRuns(ids, filter, [&](size_t j, size_t n) {
+      DistanceBatch(metric_, query, rows + j * dim, dim, n, dist);
+      for (size_t t = 0; t < n; ++t) topk.Offer(ids[j + t], dist[t]);
+    });
   }
   if (counters != nullptr) counters->full_distance_evals += scanned;
   return topk.Take();
@@ -175,33 +243,20 @@ Status IvfSq8Index::RestoreExtra(ByteReader* reader, const FloatMatrix& data) {
 std::vector<Neighbor> IvfSq8Index::SearchFiltered(
     const float* query, size_t k, const RowFilter* filter,
     WorkCounters* counters, const IndexParams* knobs) const {
-  const size_t dim = data_->dim();
+  const size_t dim = centroids_.dim();
   TopKCollector topk(k);
   uint64_t scanned = 0;
   // Each list's codes are one contiguous block (list slot j at codes +
-  // j * dim), so live slot runs scan through the SQ8 block kernel; dead
-  // slots are skipped without a distance evaluation.
+  // j * dim), so live slot runs scan through the SQ8 block kernel.
   float dist[kDistanceScanBlock];
   for (int32_t list : ProbeLists(query, EffectiveNprobe(knobs), counters)) {
     const auto& ids = list_ids_[list];
     const uint8_t* codes = list_codes_[list].data();
-    size_t j = 0;
-    while (j < ids.size()) {
-      if (!RowIsLive(filter, ids[j])) {
-        ++j;
-        continue;
-      }
-      size_t run = j + 1;
-      while (run < ids.size() && run - j < kDistanceScanBlock &&
-             RowIsLive(filter, ids[run])) {
-        ++run;
-      }
+    scanned += ScanLiveRuns(ids, filter, [&](size_t j, size_t n) {
       Sq8Batch(metric_, query, codes + j * dim, vmin_.data(), vscale_.data(),
-               dim, run - j, dist);
-      for (size_t t = 0; t < run - j; ++t) topk.Offer(ids[j + t], dist[t]);
-      scanned += run - j;
-      j = run;
-    }
+               dim, n, dist);
+      for (size_t t = 0; t < n; ++t) topk.Offer(ids[j + t], dist[t]);
+    });
   }
   if (counters != nullptr) counters->code_distance_evals += scanned;
   return topk.Take();
@@ -385,28 +440,15 @@ std::vector<Neighbor> IvfPqIndex::SearchFiltered(
   TopKCollector topk(k);
   uint64_t scanned = 0;
   // Each list's codes are one contiguous block (list slot j at codes +
-  // j * m), so live slot runs score through the batch ADC kernel; dead
-  // slots are skipped without a lookup.
+  // j * m), so live slot runs score through the batch ADC kernel.
   float dist[kDistanceScanBlock];
   for (int32_t list : ProbeLists(query, EffectiveNprobe(knobs), counters)) {
     const auto& ids = list_ids_[list];
     const uint16_t* codes = list_codes_[list].data();
-    size_t j = 0;
-    while (j < ids.size()) {
-      if (!RowIsLive(filter, ids[j])) {
-        ++j;
-        continue;
-      }
-      size_t run = j + 1;
-      while (run < ids.size() && run - j < kDistanceScanBlock &&
-             RowIsLive(filter, ids[run])) {
-        ++run;
-      }
-      PqLookupBatch(table, codes + j * m, m, ksub, run - j, bias, dist);
-      for (size_t t = 0; t < run - j; ++t) topk.Offer(ids[j + t], dist[t]);
-      scanned += run - j;
-      j = run;
-    }
+    scanned += ScanLiveRuns(ids, filter, [&](size_t j, size_t n) {
+      PqLookupBatch(table, codes + j * m, m, ksub, n, bias, dist);
+      for (size_t t = 0; t < n; ++t) topk.Offer(ids[j + t], dist[t]);
+    });
   }
   if (counters != nullptr) counters->pq_lookup_ops += scanned * m;
   return topk.Take();

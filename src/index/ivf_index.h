@@ -2,7 +2,9 @@
 // (paper Table I). A k-means coarse quantizer partitions the segment into
 // nlist cells; queries probe the nprobe nearest cells and score their
 // members exactly (FLAT), via 8-bit scalar quantization (SQ8), or via
-// product-quantization ADC (PQ).
+// product-quantization ADC (PQ). Every family stores each cell's payload
+// (float rows, SQ8 codes, PQ codes) contiguously in the cell's id order, so
+// probing a cell is one sequential block scan.
 #ifndef VDTUNER_INDEX_IVF_INDEX_H_
 #define VDTUNER_INDEX_IVF_INDEX_H_
 
@@ -22,7 +24,7 @@ class IvfBaseIndex : public VectorIndex {
       : metric_(metric), params_(params), seed_(seed) {}
 
   Status Build(const FloatMatrix& data) override;
-  size_t Size() const override { return data_ ? data_->rows() : 0; }
+  size_t Size() const override { return rows_; }
 
   /// Updates search-time knobs (nprobe) without rebuilding.
   void UpdateSearchParams(const IndexParams& params) override {
@@ -37,7 +39,7 @@ class IvfBaseIndex : public VectorIndex {
  protected:
   /// Hook: append / decode the subclass payload (SQ8 ranges + codes, PQ
   /// codebooks + codes) after the shared IVF layout. RestoreExtra runs with
-  /// params_, centroids_, list_ids_, and data_ already restored+validated.
+  /// params_, centroids_, list_ids_, and rows_ already restored+validated.
   virtual Status SerializeExtra(ByteWriter* writer) const {
     (void)writer;
     return Status::OK();
@@ -67,12 +69,19 @@ class IvfBaseIndex : public VectorIndex {
   Metric metric_;
   IndexParams params_;
   uint64_t seed_;
-  const FloatMatrix* data_ = nullptr;
+  size_t rows_ = 0;                             // indexed rows (0 = unbuilt)
   FloatMatrix centroids_;                       // nlist x dim
   std::vector<std::vector<int64_t>> list_ids_;  // member row ids per list
 };
 
-/// IVF_FLAT: probed cells are scored with exact distances.
+/// IVF_FLAT: probed cells are scored with exact distances. The index owns
+/// its rows in list-major order (list l's rows back to back, in the order
+/// of list_ids_[l]), so a probe streams one contiguous block through the
+/// batch kernel instead of gathering rows scattered across the segment
+/// matrix. A sealed segment therefore drops its own matrix (HoldsRows) and
+/// the vectors exist once; MemoryBytes() still excludes them. The persisted
+/// state carries no rows: RestoreState re-encodes them from the segment
+/// file's vector section.
 class IvfFlatIndex : public IvfBaseIndex {
  public:
   using IvfBaseIndex::IvfBaseIndex;
@@ -83,11 +92,18 @@ class IvfFlatIndex : public IvfBaseIndex {
                                        const IndexParams* knobs) const override;
   size_t MemoryBytes() const override;
   IndexType type() const override { return IndexType::kIvfFlat; }
+  bool HoldsRows() const override { return true; }
+  void CopyRows(float* out) const override;
 
  protected:
-  Status EncodeLists(const FloatMatrix&, ParallelExecutor*) override {
-    return Status::OK();
-  }
+  Status EncodeLists(const FloatMatrix& data,
+                     ParallelExecutor* executor) override;
+  Status RestoreExtra(ByteReader* reader, const FloatMatrix& data) override;
+
+ private:
+  FloatMatrix list_rows_;             // rows_ x dim, list-major
+  std::vector<size_t> list_offsets_;  // nlist + 1: list l holds rows
+                                      // [list_offsets_[l], list_offsets_[l + 1])
 };
 
 /// IVF_SQ8: probed cells are scored on 8-bit scalar-quantized codes

@@ -56,7 +56,7 @@ Status EncodeSegmentFile(const Segment& segment, Metric metric,
         "segment file: only sealed segments are persisted");
   }
   const size_t rows = segment.rows();
-  const size_t dim = segment.data().dim();
+  const size_t dim = segment.dim();
   if (rows == 0 || dim == 0) {
     return Status::FailedPrecondition("segment file: empty segment");
   }
@@ -128,7 +128,9 @@ Status EncodeSegmentFile(const Segment& segment, Metric metric,
     ByteWriter w(&payload);
     w.U32(pad);
     for (uint32_t i = 0; i < pad; ++i) w.U8(0);
-    const float* data = segment.data().RawData();
+    // Local row order, whether the segment or its index holds the rows.
+    const FloatMatrix rows_in_order = segment.Rows();
+    const float* data = rows_in_order.RawData();
     const size_t nbytes = rows * dim * sizeof(float);
     if constexpr (std::endian::native == std::endian::little) {
       payload.resize(payload.size() + nbytes);
@@ -286,16 +288,13 @@ Result<LoadedSegment> DecodeSegmentFile(const uint8_t* bytes, size_t len,
                                     std::move(id_map));
 
   // INDEX: restored against the segment's own matrix so the index's data
-  // pointer stays valid for the segment's lifetime.
+  // pointer stays valid for the segment's lifetime. An index that holds its
+  // rows (IVF_FLAT) copies them out, and the segment drops the mapping.
   if (has_index != 0) {
-    std::unique_ptr<VectorIndex> restored = CreateIndex(
-        static_cast<IndexType>(index_type), metric, IndexParams{}, 0);
-    if (restored == nullptr) return Malformed("INDEX type");
     ByteReader ir(index.payload, index.length);
-    VDT_RETURN_IF_ERROR(
-        restored->RestoreState(&ir, loaded.segment->data()));
+    VDT_RETURN_IF_ERROR(loaded.segment->RestoreIndex(
+        static_cast<IndexType>(index_type), metric, &ir));
     if (ir.remaining() != 0) return Malformed("INDEX trailing bytes");
-    loaded.segment->AttachRestoredIndex(std::move(restored));
   }
   return loaded;
 }

@@ -378,9 +378,12 @@ Status Collection::CompactLocked(size_t* compacted) {
       // is invisible until Publish, so it can be built in place.
       const Segment& seg = *view.segment;
       auto fresh = std::make_shared<Segment>(seg.base_id(), dim_);
-      for (size_t r = 0; r < seg.rows(); ++r) {
-        if (view.IsDeleted(r)) continue;
-        fresh->AppendWithId(seg.data().Row(r), dim_, seg.IdAt(r));
+      {
+        const FloatMatrix rows = seg.Rows();
+        for (size_t r = 0; r < seg.rows(); ++r) {
+          if (view.IsDeleted(r)) continue;
+          fresh->AppendWithId(rows.Row(r), dim_, seg.IdAt(r));
+        }
       }
       Status st = fresh->Seal(options_.index.type, options_.metric,
                               options_.index.params,
@@ -559,7 +562,7 @@ Result<std::shared_ptr<Collection>> Collection::Restore(
             loaded.status().message());
       }
       if (loaded->segment->rows() != entry.rows ||
-          (c.dim_ != 0 && loaded->segment->data().dim() != c.dim_)) {
+          (c.dim_ != 0 && loaded->segment->dim() != c.dim_)) {
         return Status::InvalidArgument(
             "segment " + store->SegmentPath(entry.uid) +
             " does not match its manifest entry");

@@ -18,17 +18,45 @@ Status Segment::Seal(IndexType type, Metric metric, const IndexParams& params,
                             std::to_string(static_cast<int>(type)));
   }
   Status st = index_->Build(data_);
-  if (!st.ok()) index_.reset();
-  return st;
+  if (!st.ok()) {
+    index_.reset();
+    return st;
+  }
+  if (index_->HoldsRows()) data_ = FloatMatrix(0, data_.dim());
+  return Status::OK();
 }
 
 std::shared_ptr<Segment> Segment::Restore(int64_t base_id, FloatMatrix data,
                                           std::vector<int64_t> ids) {
   auto segment = std::make_shared<Segment>(base_id, data.dim());
+  segment->rows_ = data.rows();
   segment->data_ = std::move(data);
   segment->ids_ = std::move(ids);
   segment->sealed_ = true;
   return segment;
+}
+
+Status Segment::RestoreIndex(IndexType type, Metric metric,
+                             ByteReader* reader) {
+  std::unique_ptr<VectorIndex> index =
+      CreateIndex(type, metric, IndexParams{}, 0);
+  if (index == nullptr) {
+    return Status::InvalidArgument("segment restore: unknown index type " +
+                                   std::to_string(static_cast<int>(type)));
+  }
+  VDT_RETURN_IF_ERROR(index->RestoreState(reader, data_));
+  index_ = std::move(index);
+  if (index_->HoldsRows()) data_ = FloatMatrix(0, data_.dim());
+  return Status::OK();
+}
+
+FloatMatrix Segment::Rows() const {
+  if (index_ == nullptr || !index_->HoldsRows()) {
+    return FloatMatrix::Borrow(data_.RawData(), rows_, data_.dim(), nullptr);
+  }
+  FloatMatrix rows(rows_, data_.dim());
+  if (rows_ > 0) index_->CopyRows(rows.Row(0));
+  return rows;
 }
 
 std::vector<Neighbor> Segment::Search(Metric metric, const float* query,

@@ -1,6 +1,8 @@
 // Segments: the storage unit of the VDMS. Growing segments accumulate rows
 // and are scanned brute-force; sealed segments own an immutable row range
-// and (above the build threshold) an ANNS index.
+// and (above the build threshold) an ANNS index. When that index keeps its
+// own copy of the rows (VectorIndex::HoldsRows — IVF_FLAT's list-major
+// blocks), the segment drops its matrix, so the vectors exist once.
 //
 // A Segment is the *immutable core* of the snapshot read model: once a
 // segment has been published inside a CollectionSnapshot it is never
@@ -32,13 +34,16 @@ class Segment {
   Segment(int64_t base_id, size_t dim) : base_id_(base_id), data_(0, dim) {}
 
   /// Appends one row (growing state only).
-  void Append(const float* row, size_t dim) { data_.AppendRow(row, dim); }
+  void Append(const float* row, size_t dim) {
+    data_.AppendRow(row, dim);
+    ++rows_;
+  }
 
   /// Appends one row under an explicit collection id (compaction rewrites).
   /// Ids must be appended in ascending order; mixing with plain Append on
   /// one segment is not supported.
   void AppendWithId(const float* row, size_t dim, int64_t id) {
-    data_.AppendRow(row, dim);
+    Append(row, dim);
     ids_.push_back(id);
   }
 
@@ -47,7 +52,8 @@ class Segment {
   /// scanned brute-force. The build shards across the executor selected by
   /// `params.build_threads` (0 = process-wide pool sized by VDT_THREADS);
   /// see the VectorIndex::Build determinism contract. Tombstoned rows are
-  /// included in the build and filtered at search time.
+  /// included in the build and filtered at search time. When the built
+  /// index holds the rows, the segment releases its matrix.
   Status Seal(IndexType type, Metric metric, const IndexParams& params,
               int build_threshold, uint64_t seed);
 
@@ -55,17 +61,16 @@ class Segment {
   /// entry point): `data` may borrow an mmap'd vector section (the segment
   /// then serves straight from the mapping); `ids` is the explicit id map
   /// (may be empty for a contiguous range starting at base_id). The result
-  /// is sealed, immutable, and index-less until AttachRestoredIndex.
+  /// is sealed, immutable, and index-less until RestoreIndex.
   static std::shared_ptr<Segment> Restore(int64_t base_id, FloatMatrix data,
                                           std::vector<int64_t> ids);
 
-  /// Attaches a deserialized index. Two-phase restore on purpose: the index
-  /// holds a pointer to the segment's own data() matrix, so it must be
-  /// RestoreState'd against this segment's data — after Restore() — not
-  /// against some pre-move copy. `index` may be null (brute-force segment).
-  void AttachRestoredIndex(std::unique_ptr<VectorIndex> index) {
-    index_ = std::move(index);
-  }
+  /// Second phase of Restore: recreates the persisted index of `type` from
+  /// `reader` (VectorIndex::RestoreState) over this segment's own matrix,
+  /// which the index may keep a pointer to. When the restored index holds
+  /// the rows, the segment then releases its matrix — for an mmap-served
+  /// segment, the mapping — and serves from the index's heap copy.
+  Status RestoreIndex(IndexType type, Metric metric, ByteReader* reader);
 
   /// Top-k rows within this segment that `filter` declares live (null =
   /// every row); ids in the result are collection row ids. `knobs` (may be
@@ -92,9 +97,15 @@ class Segment {
 
   bool sealed() const { return sealed_; }
   bool indexed() const { return index_ != nullptr; }
-  size_t rows() const { return data_.rows(); }
+  size_t rows() const { return rows_; }
+  size_t dim() const { return data_.dim(); }
   int64_t base_id() const { return base_id_; }
-  const FloatMatrix& data() const { return data_; }
+
+  /// The segment's rows in local order: a view of its own matrix (valid
+  /// while the segment lives), or, when the index holds the rows, an owned
+  /// copy gathered from the index. For bulk readers (compaction, the
+  /// segment-file writer), not for the search path.
+  FloatMatrix Rows() const;
 
   /// The built index (null for brute-force segments); serialization reads
   /// its state through VectorIndex::SerializeState.
@@ -117,6 +128,8 @@ class Segment {
 
  private:
   int64_t base_id_;
+  size_t rows_ = 0;
+  /// The rows, unless the index holds them (then 0 x dim).
   FloatMatrix data_;
   bool sealed_ = false;
   uint64_t storage_uid_ = 0;

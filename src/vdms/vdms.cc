@@ -224,12 +224,6 @@ Result<SearchResponse> VdmsEngine::Search(const std::string& name,
   if (collection == nullptr) {
     return Status::NotFound("collection '" + name + "' not found");
   }
-  if (options_.serialize_reads) {
-    // The pre-snapshot behavior, kept only for bench/micro_engine.cc: every
-    // search funnels through one engine-wide mutex.
-    std::lock_guard<std::mutex> lock(serialize_mu_);
-    return collection->Search(request, executor);
-  }
   // Snapshot read: no engine or collection lock held from here on.
   return collection->Search(request, executor);
 }

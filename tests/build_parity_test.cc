@@ -29,6 +29,7 @@ namespace {
 
 using testing_util::BackendGuard;
 using testing_util::ClusteredMatrix;
+using testing_util::Fnv1a64;
 using testing_util::RandomMatrix;
 
 
@@ -231,15 +232,6 @@ struct GoldenGraph {
   size_t rows;
   uint64_t digest;
 };
-
-uint64_t Fnv1a64(const std::vector<uint8_t>& bytes) {
-  uint64_t h = 1469598103934665603ull;
-  for (uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 constexpr GoldenGraph kGoldenGraphs[] = {
     {4, 16, 1, Metric::kL2, 600, 0xa9d604c9e0ee098full},

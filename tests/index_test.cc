@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/parallel_executor.h"
 #include "index/auto_index.h"
 #include "index/distance.h"
@@ -18,12 +23,16 @@
 #include "index/scann_index.h"
 #include "index/topk.h"
 #include "tests/test_util.h"
+#include "vdms/vdms.h"
 
 namespace vdt {
 namespace {
 
+using testing_util::BackendGuard;
 using testing_util::ClusteredMatrix;
+using testing_util::Fnv1a64;
 using testing_util::RandomMatrix;
+using testing_util::TempDir;
 
 // ------------------------------------------------------------ distance
 
@@ -585,10 +594,227 @@ TEST(IndexMemoryTest, QuantizedSmallerThanFlatLists) {
   auto sq8 = std::make_unique<IvfSq8Index>(Metric::kAngular, params, 3);
   ASSERT_TRUE(ivf->Build(data).ok());
   ASSERT_TRUE(sq8->Build(data).ok());
-  // SQ8 stores 1 byte/dim codes on top of ids; IVF_FLAT stores none but the
-  // segment keeps floats. Compare code size to hypothetical float size.
+  // SQ8 stores 1 byte/dim codes on top of ids; IVF_FLAT's float rows are
+  // charged as stored rows, not to MemoryBytes. Compare code size to
+  // hypothetical float size.
   EXPECT_LT(sq8->MemoryBytes(), ivf->MemoryBytes() + data.MemoryBytes() / 2);
   EXPECT_GT(sq8->MemoryBytes(), ivf->MemoryBytes());
+}
+
+// IVF_FLAT's restore re-encodes its list-major rows from the segment's
+// matrix and CopyRows scatters them back by posting-list id, so the lists
+// must cover every row exactly once: a state restored against a matrix
+// with a row the lists never name is malformed, not silently half-copied.
+TEST(IvfFlatRestoreTest, PostingListsMustCoverEveryRow) {
+  const FloatMatrix data = RandomMatrix(200, 12, 5);
+  IndexParams params;
+  params.nlist = 8;
+  IvfFlatIndex built(Metric::kL2, params, 3);
+  ASSERT_TRUE(built.Build(data).ok());
+  std::vector<uint8_t> state;
+  ByteWriter writer(&state);
+  ASSERT_TRUE(built.SerializeState(&writer).ok());
+
+  IvfFlatIndex same(Metric::kL2, params, 3);
+  ByteReader same_reader(state.data(), state.size());
+  EXPECT_TRUE(same.RestoreState(&same_reader, data).ok());
+
+  const FloatMatrix wider = RandomMatrix(201, 12, 5);
+  IvfFlatIndex restored(Metric::kL2, params, 3);
+  ByteReader reader(state.data(), state.size());
+  const Status st = restored.RestoreState(&reader, wider);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("coverage"), std::string::npos) << st.ToString();
+}
+
+// ---------------------------------------------- IVF_FLAT golden results
+
+// Golden IVF_FLAT search results: 64-bit FNV-1a digests over every result
+// id, every distance bit pattern and every WorkCounters field of a fixed
+// grid (nlist {4, 64} x nprobe {1, nlist} x filter {none, every third row
+// tombstoned plus a contiguous dead run, id predicate}), captured under the
+// scalar backend while posting lists still held row ids into the segment
+// matrix. nlist 4 makes lists longer than kDistanceScanBlock. The
+// list-major row layout must reproduce every digest: on a standalone index,
+// in a two-shard collection after delete + compact, and after a restart
+// from disk (the restarted collection reproduces the in-memory digest).
+struct GoldenIvfFlat {
+  Metric metric;
+  size_t dim;
+  uint64_t standalone;
+  uint64_t collection;
+};
+
+constexpr GoldenIvfFlat kGoldenIvfFlat[] = {
+    {Metric::kL2, 23, 0xd70f35db333d1825ull, 0x1268defd3ec2716bull},
+    {Metric::kL2, 96, 0x7f948176845cfc32ull, 0xeba370c824e35879ull},
+    {Metric::kInnerProduct, 23, 0x3d37b975687dc7e3ull, 0x80fc9958f142d7d2ull},
+    {Metric::kInnerProduct, 96, 0xfa1599a250ae2e5aull, 0xa662ca0e51d5908full},
+    {Metric::kAngular, 23, 0x5d13de0aa18ffcb5ull, 0xb12e955aa2f780c0ull},
+    {Metric::kAngular, 96, 0x848cb15a82f91f22ull, 0xb947e69809e5d84bull},
+};
+
+constexpr size_t kGoldenK = 10;
+
+bool KeepByPredicate(int64_t id) { return id % 5 != 2; }
+
+void AppendResult(const std::vector<Neighbor>& hits, const WorkCounters& work,
+                  ByteWriter* w) {
+  w->U64(hits.size());
+  for (const Neighbor& n : hits) {
+    w->I64(n.id);
+    w->U32(std::bit_cast<uint32_t>(n.distance));
+  }
+  for (uint64_t v : {work.full_distance_evals, work.coarse_distance_evals,
+                     work.code_distance_evals, work.pq_lookup_ops,
+                     work.table_build_flops, work.graph_hops,
+                     work.reorder_evals, work.shard_scatters,
+                     work.gather_candidates}) {
+    w->U64(v);
+  }
+}
+
+FloatMatrix GoldenRows(size_t rows, size_t dim, Metric metric,
+                       uint64_t seed) {
+  // Unnormalized rows under L2 and inner product, so the metrics see
+  // different geometry; angular assumes normalized rows.
+  return ClusteredMatrix(rows, dim, 10, 0.3, seed, metric == Metric::kAngular);
+}
+
+uint64_t StandaloneIvfFlatDigest(Metric metric, size_t dim) {
+  const size_t n = 1200;
+  const FloatMatrix data = GoldenRows(n, dim, metric, 91);
+  const FloatMatrix queries = GoldenRows(5, dim, metric, 92);
+  std::vector<uint8_t> dead(n, 0);
+  for (size_t r = 0; r < n; r += 3) dead[r] = 1;
+  for (size_t r = 500; r < 620; ++r) dead[r] = 1;
+  const RowFilter::Predicate keep = KeepByPredicate;
+  const RowFilter tombstoned(dead.data());
+  const RowFilter predicate(nullptr, &keep);
+  const RowFilter* filters[] = {nullptr, &tombstoned, &predicate};
+
+  std::vector<uint8_t> bytes;
+  ByteWriter w(&bytes);
+  for (int nlist : {4, 64}) {
+    IndexParams params;
+    params.nlist = nlist;
+    auto index = CreateIndex(IndexType::kIvfFlat, metric, params, 17);
+    EXPECT_TRUE(index->Build(data).ok());
+    for (int nprobe : {1, nlist}) {
+      IndexParams knobs = params;
+      knobs.nprobe = nprobe;
+      for (const RowFilter* filter : filters) {
+        for (size_t q = 0; q < queries.rows(); ++q) {
+          WorkCounters work;
+          AppendResult(index->SearchFiltered(queries.Row(q), kGoldenK, filter,
+                                             &work, &knobs),
+                       work, &w);
+        }
+      }
+    }
+  }
+  return Fnv1a64(bytes);
+}
+
+// Two shards of ~1300 rows: one ~1100-row sealed segment each (nlist 4
+// gives ~275-row lists) plus a small segment sealed by the flush. Deleting
+// ids [0, 1500) pushes both big segments past the 0.5 compaction trigger,
+// so they are rewritten under explicit id maps; deleting every third id
+// afterwards stays below the trigger and leaves tombstones in place.
+CollectionOptions GoldenCollectionOptions(Metric metric, size_t rows,
+                                          int nlist) {
+  CollectionOptions opts;
+  opts.name = "ivf" + std::to_string(nlist);
+  opts.metric = metric;
+  opts.scale.dataset_mb = 100.0;
+  opts.scale.actual_rows = rows;
+  opts.index.type = IndexType::kIvfFlat;
+  opts.index.params.nlist = nlist;
+  opts.system.segment_max_size_mb = 100.0;
+  opts.system.seal_proportion = 0.423;
+  opts.system.insert_buf_size_mb = 4.0;
+  opts.system.build_index_threshold = 32;
+  opts.system.compaction_deleted_ratio = 0.5;
+  opts.system.num_shards = 2;
+  opts.seed = 23;
+  return opts;
+}
+
+uint64_t CollectionIvfFlatDigest(Metric metric, size_t dim, bool restart) {
+  const size_t n = 2600;
+  const FloatMatrix data = GoldenRows(n, dim, metric, 93);
+  const FloatMatrix queries = GoldenRows(5, dim, metric, 94);
+  TempDir td;
+  VdmsEngineOptions eopts;
+  eopts.data_dir = td.path();
+
+  std::vector<uint8_t> bytes;
+  ByteWriter w(&bytes);
+  for (int nlist : {4, 64}) {
+    const CollectionOptions opts = GoldenCollectionOptions(metric, n, nlist);
+    auto engine = std::make_unique<VdmsEngine>(eopts);
+    auto reopen = [&] {
+      if (!restart) return;
+      engine = std::make_unique<VdmsEngine>(eopts);
+      EXPECT_TRUE(engine->Open().ok());
+    };
+    auto search = [&](bool with_predicate) {
+      for (int nprobe : {1, nlist}) {
+        SearchRequest request =
+            SearchRequest::Batch(queries.Slice(0, queries.rows()), kGoldenK);
+        request.params = opts.index.params;
+        request.params->nprobe = nprobe;
+        if (with_predicate) request.filter = KeepByPredicate;
+        Result<SearchResponse> response = engine->Search(opts.name, request);
+        EXPECT_TRUE(response.ok());
+        if (!response.ok()) return;
+        for (size_t q = 0; q < queries.rows(); ++q) {
+          AppendResult(response->neighbors[q], response->query_work[q], &w);
+        }
+      }
+    };
+
+    EXPECT_TRUE(engine->CreateCollection(opts).ok());
+    EXPECT_TRUE(engine->Insert(opts.name, data).ok());
+    EXPECT_TRUE(engine->Flush(opts.name).ok());
+    std::vector<int64_t> dead_run;
+    for (int64_t id = 0; id < 1500; ++id) dead_run.push_back(id);
+    EXPECT_TRUE(engine->Delete(opts.name, dead_run).ok());
+    size_t compacted = 0;
+    EXPECT_TRUE(engine->Compact(opts.name, &compacted).ok());
+    Result<CollectionStats> stats = engine->GetStats(opts.name);
+    EXPECT_TRUE(stats.ok() && stats->num_compactions >= 2)
+        << "layout no longer crosses a compaction boundary";
+    reopen();
+    search(/*with_predicate=*/false);
+    search(/*with_predicate=*/true);
+
+    std::vector<int64_t> every_third;
+    for (int64_t id = 1500; id < static_cast<int64_t>(n); id += 3) {
+      every_third.push_back(id);
+    }
+    EXPECT_TRUE(engine->Delete(opts.name, every_third).ok());
+    reopen();
+    search(/*with_predicate=*/false);
+  }
+  return Fnv1a64(bytes);
+}
+
+TEST(IvfFlatGoldenTest, ResultsMatchGoldenDigests) {
+  BackendGuard guard;
+  ASSERT_TRUE(kernels::SetActive("scalar"));
+  for (const GoldenIvfFlat& g : kGoldenIvfFlat) {
+    const std::string where =
+        std::string(MetricName(g.metric)) + " dim=" + std::to_string(g.dim);
+    EXPECT_EQ(StandaloneIvfFlatDigest(g.metric, g.dim), g.standalone)
+        << "standalone " << where;
+    EXPECT_EQ(CollectionIvfFlatDigest(g.metric, g.dim, /*restart=*/false),
+              g.collection)
+        << "collection " << where;
+    EXPECT_EQ(CollectionIvfFlatDigest(g.metric, g.dim, /*restart=*/true),
+              g.collection)
+        << "restarted collection " << where;
+  }
 }
 
 }  // namespace

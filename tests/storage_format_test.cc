@@ -6,6 +6,7 @@
 // uninitialized interpretation turns into a hard failure.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -132,6 +133,39 @@ TEST(SegmentFormatTest, WrongMetricIsRejected) {
   auto r = DecodeSegmentFile(bytes.data(), bytes.size(), Metric::kL2, nullptr);
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("metric"), std::string::npos);
+}
+
+// A sealed IVF_FLAT segment drops its own matrix (its index holds the rows,
+// list-major); Rows() must still return every row in local order, bit for
+// bit, before and after a round trip through the segment file. HNSW (the
+// segment keeps its matrix) takes the view path of the same accessor.
+TEST(SegmentFormatTest, RowsComeBackInLocalOrder) {
+  const size_t rows = 300, dim = 7;
+  const FloatMatrix data = RandomMatrix(rows, dim, 42);
+  const auto expect_rows = [&](const Segment& segment) {
+    const FloatMatrix got = segment.Rows();
+    ASSERT_EQ(got.rows(), rows);
+    ASSERT_EQ(got.dim(), dim);
+    EXPECT_EQ(std::memcmp(got.RawData(), data.RawData(), data.MemoryBytes()),
+              0);
+  };
+  for (IndexType type : {IndexType::kIvfFlat, IndexType::kHnsw}) {
+    Segment segment(100, dim);
+    for (size_t r = 0; r < rows; ++r) segment.Append(data.Row(r), dim);
+    IndexParams params;
+    params.nlist = 8;
+    ASSERT_TRUE(segment.Seal(type, Metric::kL2, params, 16, 7).ok());
+    ASSERT_TRUE(segment.indexed());
+    EXPECT_EQ(segment.index()->HoldsRows(), type == IndexType::kIvfFlat);
+    expect_rows(segment);
+
+    std::vector<uint8_t> bytes;
+    ASSERT_TRUE(EncodeSegmentFile(segment, Metric::kL2, nullptr, &bytes).ok());
+    auto decoded =
+        DecodeSegmentFile(bytes.data(), bytes.size(), Metric::kL2, nullptr);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    expect_rows(*decoded->segment);
+  }
 }
 
 // --------------------------------------------------------------------- WAL

@@ -23,21 +23,7 @@ namespace {
 
 using testing_util::ClusteredMatrix;
 using testing_util::RandomMatrix;
-
-/// A scratch directory removed on scope exit.
-class TempDir {
- public:
-  TempDir() {
-    char tmpl[] = "/tmp/vdt_storage_test_XXXXXX";
-    path_ = mkdtemp(tmpl);
-    EXPECT_FALSE(path_.empty());
-  }
-  ~TempDir() { (void)RemoveDirRecursive(path_); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using testing_util::TempDir;
 
 CollectionOptions ChurnOptions(IndexType type, size_t actual_rows,
                                uint64_t seed) {
@@ -299,7 +285,9 @@ TEST(StorageTest, KillStyleChurnRecoveryMatchesOracle) {
       }
       // One mid-stream checkpoint, so recovery exercises manifest-sealed
       // state *and* a WAL tail on top of it.
-      if (++steps == 3) ASSERT_TRUE(engine.Flush("c").ok());
+      if (++steps == 3) {
+        ASSERT_TRUE(engine.Flush("c").ok());
+      }
     }
   }  // killed: no final Flush, WAL tail outstanding
 

@@ -2,12 +2,18 @@
 #ifndef VDTUNER_TESTS_TEST_UTIL_H_
 #define VDTUNER_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "common/float_matrix.h"
 #include "common/random.h"
 #include "index/distance.h"
 #include "index/kernels/kernels.h"
+#include "storage/file_io.h"
 
 namespace vdt {
 namespace testing_util {
@@ -55,6 +61,36 @@ class BackendGuard {
 
  private:
   std::string saved_;
+};
+
+/// 64-bit FNV-1a over `bytes`: the digest the golden tests pin.
+inline uint64_t Fnv1a64(const std::vector<uint8_t>& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// A scratch directory removed on scope exit.
+class TempDir {
+ public:
+  TempDir() {
+    char tmpl[] = "/tmp/vdt_test_XXXXXX";
+    const char* made = mkdtemp(tmpl);
+    if (made != nullptr) path_ = made;
+    EXPECT_FALSE(path_.empty());
+  }
+  ~TempDir() {
+    if (!path_.empty()) (void)RemoveDirRecursive(path_);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
 };
 
 }  // namespace testing_util
