@@ -11,9 +11,21 @@
 // HnswHighDegree builds at M = 48, where the sequential commit phase —
 // re-pruning every adjacency list a back-link overflows — dominates, so it
 // tracks the cost of the neighbor-selection heuristic itself.
+//
+// BM_KMeansAssign times one k-means assignment pass — the step IVF_PQ
+// codebook training repeats per subspace and iteration — through the
+// active backend's l2_nearest slot, and BM_KMeansAssignLoop the same pass
+// as the argmin loop over l2_batch (ReferenceL2Nearest). Where the two
+// differ, the slot's lane-transposed layout is on; the pair shows over
+// which sub-dimensions that layout earns its place.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "index/distance.h"
 #include "index/index.h"
+#include "index/kernels/kernels.h"
 #include "workload/datasets.h"
 
 namespace vdt {
@@ -72,6 +84,61 @@ VDT_BUILD_BENCH(HnswHighDegree, IndexType::kHnsw, 48);
 VDT_BUILD_BENCH(Scann, IndexType::kScann, 16);
 
 #undef VDT_BUILD_BENCH
+
+// A PQ subspace of the glove rows: the first dsub coordinates of each row,
+// with the first k subspace rows as centroids (k-means++ seeds from data
+// points too).
+struct AssignCase {
+  std::vector<float> points;
+  std::vector<float> centroids;
+  std::vector<int32_t> nearest;
+};
+
+AssignCase MakeAssignCase(size_t dsub, size_t k) {
+  static const FloatMatrix wide =
+      GenerateDataset(DatasetProfile::kGlove, kRows, 96, 7);
+  AssignCase c;
+  c.points.resize(kRows * dsub);
+  for (size_t i = 0; i < kRows; ++i) {
+    std::copy_n(wide.Row(i), dsub, &c.points[i * dsub]);
+  }
+  c.centroids.assign(c.points.begin(), c.points.begin() + k * dsub);
+  c.nearest.resize(kRows);
+  return c;
+}
+
+template <typename Assign>
+void RunAssign(benchmark::State& state, Assign assign) {
+  const size_t dsub = static_cast<size_t>(state.range(0));
+  const size_t k = static_cast<size_t>(state.range(1));
+  AssignCase c = MakeAssignCase(dsub, k);
+  for (auto _ : state) {
+    assign(c.points.data(), kRows, c.centroids.data(), k, dsub,
+           c.nearest.data());
+    benchmark::DoNotOptimize(c.nearest.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kRows * k);
+  state.SetLabel(kernels::Active().name);
+}
+
+void BM_KMeansAssign(benchmark::State& state) { RunAssign(state, L2Nearest); }
+
+void BM_KMeansAssignLoop(benchmark::State& state) {
+  RunAssign(state, [](const float* points, size_t n, const float* centroids,
+                      size_t k, size_t dim, int32_t* out) {
+    kernels::ReferenceL2Nearest(kernels::Active().l2_batch, points, n,
+                                centroids, k, dim, out);
+  });
+}
+
+void AssignArgs(benchmark::internal::Benchmark* b) {
+  b->ArgsProduct({{2, 4, 6, 12, 16, 24, 48, 96}, {128, 256}})
+      ->Unit(benchmark::kMicrosecond);
+}
+
+BENCHMARK(BM_KMeansAssign)->Apply(AssignArgs);
+BENCHMARK(BM_KMeansAssignLoop)->Apply(AssignArgs);
 
 }  // namespace
 }  // namespace vdt

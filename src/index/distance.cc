@@ -105,4 +105,9 @@ void PqLookupBatch(const float* table, const uint16_t* codes, size_t m,
   kernels::Active().pq_lookup_batch(table, codes, m, ksub, n, bias, out);
 }
 
+void L2Nearest(const float* points, size_t n, const float* centroids,
+               size_t k, size_t dim, int32_t* out) {
+  kernels::Active().l2_nearest(points, n, centroids, k, dim, out);
+}
+
 }  // namespace vdt

@@ -37,7 +37,7 @@ float Distance(Metric metric, const float* a, const float* b, size_t dim);
 // One query against n contiguous rows (`rows` holds n * dim floats),
 // filling out[0..n). These are the hot-path scan primitives: FLAT scans,
 // IVF posting lists, PQ table builds, SCANN reorder, HNSW neighbor
-// expansion, and kmeans assignment all run through them.
+// expansion, and k-means++ seeding all run through them.
 
 /// Fixed row-block granularity for scans that stage distances through a
 /// stack buffer. Purely a buffering choice: per-row kernel results are
@@ -74,6 +74,14 @@ void Sq8Batch(Metric metric, const float* query, const uint8_t* codes,
 /// batch kernel.
 void PqLookupBatch(const float* table, const uint16_t* codes, size_t m,
                    size_t ksub, size_t n, float bias, float* out);
+
+/// Nearest-centroid assignment: out[i] = the index of the centroid row
+/// (of k contiguous rows) nearest to point i in squared L2, for n contiguous
+/// points. Bit for bit the strict-< argmin over L2Batch(point i, centroids):
+/// the first index wins ties, NaN and inf distances never win, and 0 is the
+/// answer when no distance is below FLT_MAX.
+void L2Nearest(const float* points, size_t n, const float* centroids,
+               size_t k, size_t dim, int32_t* out);
 
 }  // namespace vdt
 

@@ -319,6 +319,13 @@ VDT_AVX2 void Avx2PqLookupBatch(const float* table, const uint16_t* codes,
 
 #undef VDT_AVX2
 
+// No transposed layout here: the 8-lane scheme's scalar tail would have to
+// be replayed lane by lane, so assignment keeps the argmin loop.
+void Avx2L2Nearest(const float* points, size_t n, const float* centroids,
+                   size_t k, size_t dim, int32_t* out) {
+  ReferenceL2Nearest(Avx2L2Batch, points, n, centroids, k, dim, out);
+}
+
 bool Avx2CpuSupported() {
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 }
@@ -338,6 +345,7 @@ const Backend* Avx2Backend() {
       .pq_lookup_batch = Avx2PqLookupBatch,
       // No VEX-VNNI path here: the quantized dot keeps the float scheme.
       .sq8_dot_i8 = Avx2Sq8DotBatch,
+      .l2_nearest = Avx2L2Nearest,
   };
   return &backend;
 }

@@ -8,7 +8,7 @@
 // block-invariant. Compiled via function-level target attributes so the
 // rest of the library stays baseline-ISA; registration is CPUID-gated.
 //
-// Two slots go beyond the float ladder:
+// Three slots go beyond the float ladder:
 //  - pq_lookup_batch gathers 16 ADC table entries per vpgatherdps (lane l
 //    holds terms s with s % 16 == l, summed in s order; masked gather for
 //    the m % 16 remainder), bias added after the reduction.
@@ -20,6 +20,10 @@
 //    with AVX-512 but no VNNI the slot falls back to the float sq8 dot
 //    kernel — chosen once at registration, so results stay bit-stable per
 //    machine.
+//  - l2_nearest (k-means assignment) scores 16 lane-transposed centroids
+//    per register, replaying the row L2 scheme lane by lane, so every
+//    assignment equals the argmin over Avx512L2Batch (see the section
+//    comment below).
 #include "index/kernels/kernels.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -37,7 +41,13 @@
 #endif
 #include <immintrin.h>
 
+#include <algorithm>
+#include <array>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 #endif
 
@@ -595,6 +605,205 @@ VDT_AVX512VNNI void Avx512Sq8DotI8Batch(const float* query,
   }
 }
 
+// ------------------------------------------- nearest-centroid assignment
+//
+// l2_nearest keeps the centroids in lane-transposed blocks: block b holds
+// centroids 16b..16b+15 as rows of 16 floats, row d lane l = coordinate d
+// of centroid 16b + l, so one register scores 16 centroids and no distance
+// pays a horizontal reduction. Each lane replays the row kernel
+// (Avx512L2 / Avx512L2Rows4) on its own centroid, bit for bit:
+//  - term d goes to lane d % 16 of accumulator (d < full) ? (d/16) % 2 : 0,
+//    full = 32 * floor(dim / 32) (the 2-way unrolled loop, then the
+//    16-wide step and the masked tail, all into accumulator 0), each
+//    accumulator FMA-chained from +0 in increasing d;
+//  - then S_j = acc0_j + acc1_j and the fixed Hsum512 / Hsum4x128 tree
+//    h_j = S_j + S_{j+8}, g_j = h_j + h_{j+4}, (g0 + g1) + (g2 + g3).
+// Chains start as an FMA into +0, never a plain multiply: C++ builds
+// contract a multiply feeding an add into one FMA (-ffp-contract=fast is
+// GCC's default outside ISO C), which would round the tree differently.
+
+/// Centroid dims served by the lane-transposed scheme; wider dims loop
+/// l2_batch + argmin (ReferenceL2Nearest). micro_build BM_KMeansAssign vs
+/// BM_KMeansAssignLoop (6000 glove subspace rows, k = 256, AVX-512 VM):
+/// dsub 6 0.63 vs 6.6 ms, dsub 48 4.0 vs 9.5 ms, dsub 96 7.8 vs 12.0 ms —
+/// the layout won at every dsub measured (2..96, k = 128 and 256); no dim
+/// above 96 is measured, so those keep the loop.
+constexpr size_t kTransposedMaxDim = 96;
+
+/// Rows per packed block: dim below 16; from 16 up, dim rounded up to a
+/// multiple of 16, the extra rows zero (see WideL2x16).
+size_t TransposedRows(size_t dim) {
+  return dim < 16 ? dim : (dim + 15) / 16 * 16;
+}
+
+/// Coordinate d of a packed block minus the point's. The row kernel
+/// computes x - c; c - x is its exact negation, and the square is
+/// sign-blind, so every product below is bit-equal to the row kernel's.
+__attribute__((always_inline)) VDT_AVX512 inline __m512 TransposedDiff(
+    const float* x, const float* block, size_t d) {
+  return _mm512_sub_ps(_mm512_load_ps(block + 16 * d), _mm512_set1_ps(x[d]));
+}
+
+/// The 16 distances of one block for dim D < 16: one term per lane j < D
+/// (lanes j >= D, accumulator 1 and the masked-off tail lanes are exact
+/// +0s in the row kernel; sums of squares are never -0, so skipping their
+/// adds changes no bit). Straight-line code per D.
+template <size_t D>
+__attribute__((always_inline)) VDT_AVX512 inline __m512 NarrowL2x16(
+    const float* x, const float* block) {
+  const __m512 zero = _mm512_setzero_ps();
+  __m512 s[D];
+#pragma GCC unroll 16
+  for (size_t j = 0; j < D; ++j) {
+    const __m512 t = TransposedDiff(x, block, j);
+    s[j] = _mm512_fmadd_ps(t, t, zero);
+  }
+#pragma GCC unroll 8
+  for (size_t j = 0; j + 8 < D; ++j) s[j] = _mm512_add_ps(s[j], s[j + 8]);
+#pragma GCC unroll 4
+  for (size_t j = 0; j + 4 < (D < 8 ? D : 8); ++j) {
+    s[j] = _mm512_add_ps(s[j], s[j + 4]);
+  }
+  if constexpr (D == 1) {
+    return s[0];
+  } else if constexpr (D == 2) {
+    return _mm512_add_ps(s[0], s[1]);
+  } else if constexpr (D == 3) {
+    return _mm512_add_ps(_mm512_add_ps(s[0], s[1]), s[2]);
+  } else {
+    return _mm512_add_ps(_mm512_add_ps(s[0], s[1]), _mm512_add_ps(s[2], s[3]));
+  }
+}
+
+/// The 16 distances of one block for dim >= 16. Rows [dim, rows) are zero
+/// in both the block and the (caller-padded) point, so their terms are
+/// FMA(+0, +0, acc) = acc exactly and the masked tail needs no per-lane
+/// test. Lanes go in quads q, q+4, q+8, q+12 — the four S_j that form g_q
+/// — so only eight accumulators are live at a time.
+__attribute__((always_inline)) VDT_AVX512 inline __m512 WideL2x16(
+    const float* x, const float* block, size_t full, size_t rows) {
+  const __m512 zero = _mm512_setzero_ps();
+  __m512 g[4];
+#pragma GCC unroll 4
+  for (size_t q = 0; q < 4; ++q) {
+    __m512 a0[4] = {zero, zero, zero, zero};
+    __m512 a1[4] = {zero, zero, zero, zero};
+    for (size_t d = 0; d < full; d += 32) {
+#pragma GCC unroll 4
+      for (size_t u = 0; u < 4; ++u) {
+        __m512 t = TransposedDiff(x, block, d + q + 4 * u);
+        a0[u] = _mm512_fmadd_ps(t, t, a0[u]);
+        t = TransposedDiff(x, block, d + 16 + q + 4 * u);
+        a1[u] = _mm512_fmadd_ps(t, t, a1[u]);
+      }
+    }
+    for (size_t d = full; d < rows; d += 16) {
+#pragma GCC unroll 4
+      for (size_t u = 0; u < 4; ++u) {
+        const __m512 t = TransposedDiff(x, block, d + q + 4 * u);
+        a0[u] = _mm512_fmadd_ps(t, t, a0[u]);
+      }
+    }
+    // a[u] is lane q + 4u: h_q = S_q + S_{q+8}, h_{q+4} = S_{q+4} + S_{q+12}.
+    g[q] = _mm512_add_ps(
+        _mm512_add_ps(_mm512_add_ps(a0[0], a1[0]), _mm512_add_ps(a0[2], a1[2])),
+        _mm512_add_ps(_mm512_add_ps(a0[1], a1[1]),
+                      _mm512_add_ps(a0[3], a1[3])));
+  }
+  return _mm512_add_ps(_mm512_add_ps(g[0], g[1]), _mm512_add_ps(g[2], g[3]));
+}
+
+/// The 16 distances of one block: the narrow scheme for dim = kLanes < 16,
+/// the wide one from 16 up.
+template <size_t kLanes>
+__attribute__((always_inline)) VDT_AVX512 inline __m512 TransposedL2x16(
+    const float* x, const float* block, size_t full, size_t rows) {
+  if constexpr (kLanes == 16) {
+    return WideL2x16(x, block, full, rows);
+  } else {
+    return NarrowL2x16<kLanes>(x, block);
+  }
+}
+
+/// Assigns n points against `blocks` packed blocks, kLanes = min(dim, 16).
+/// Lane l keeps the running (min, index) of centroids c = l (mod 16) under
+/// strict _CMP_LT_OQ in increasing c — NaN never compares below, FLT_MAX
+/// is the start — so each lane holds its first minimal centroid; the
+/// cross-lane pick takes the smallest distance, then the smallest index
+/// among lanes at it, which is exactly the sequential argmin's first-index
+/// answer.
+template <size_t kLanes>
+VDT_AVX512 void TransposedNearest(const float* points, size_t n, size_t dim,
+                                  const float* packed, size_t blocks,
+                                  int32_t* out) {
+  const size_t rows = TransposedRows(dim);
+  const size_t full = dim / 32 * 32;
+  const __m512i first_idx =
+      _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
+  const __m512i step = _mm512_set1_epi32(16);
+  float padded[kTransposedMaxDim] = {};
+  for (size_t i = 0; i < n; ++i) {
+    const float* x = points + i * dim;
+    if constexpr (kLanes == 16) {
+      std::copy_n(x, dim, padded);
+      x = padded;
+    }
+    __m512 best = _mm512_set1_ps(FLT_MAX);
+    __m512i best_idx = _mm512_setzero_si512();
+    __m512i idx = first_idx;
+    for (size_t b = 0; b < blocks; ++b) {
+      const __m512 dist =
+          TransposedL2x16<kLanes>(x, packed + b * 16 * rows, full, rows);
+      const __mmask16 lt = _mm512_cmp_ps_mask(dist, best, _CMP_LT_OQ);
+      best = _mm512_mask_mov_ps(best, lt, dist);
+      best_idx = _mm512_mask_mov_epi32(best_idx, lt, idx);
+      idx = _mm512_add_epi32(idx, step);
+    }
+    const __mmask16 at_min = _mm512_cmp_ps_mask(
+        best, _mm512_set1_ps(_mm512_reduce_min_ps(best)), _CMP_EQ_OQ);
+    out[i] = _mm512_mask_reduce_min_epi32(at_min, best_idx);
+  }
+}
+
+using TransposedNearestFn = void (*)(const float*, size_t, size_t,
+                                     const float*, size_t, int32_t*);
+
+template <size_t... Ls>
+constexpr std::array<TransposedNearestFn, sizeof...(Ls)> TransposedTable(
+    std::index_sequence<Ls...>) {
+  return {&TransposedNearest<Ls + 1>...};
+}
+
+VDT_AVX512 void Avx512L2Nearest(const float* points, size_t n,
+                                const float* centroids, size_t k, size_t dim,
+                                int32_t* out) {
+  if (dim > kTransposedMaxDim || dim == 0) {
+    ReferenceL2Nearest(Avx512L2Batch, points, n, centroids, k, dim, out);
+    return;
+  }
+  // Pack once per call. Lanes past k are NaN in every row, so their
+  // distance never compares below; pad rows of real lanes are zero. The
+  // buffer is over-allocated by one cache line so every block row starts
+  // 64-byte aligned and reads as one aligned load.
+  const size_t rows = TransposedRows(dim);
+  const size_t blocks = (k + 15) / 16;
+  std::vector<float> buffer(blocks * 16 * rows + 16);
+  const uintptr_t misalign = reinterpret_cast<uintptr_t>(buffer.data()) % 64;
+  float* packed =
+      buffer.data() + (misalign == 0 ? 0 : (64 - misalign) / sizeof(float));
+  for (size_t c = 0; c < blocks * 16; ++c) {
+    float* lane = packed + (c / 16) * 16 * rows + c % 16;
+    for (size_t d = 0; d < rows; ++d) {
+      lane[16 * d] = c >= k     ? std::numeric_limits<float>::quiet_NaN()
+                     : d < dim ? centroids[c * dim + d]
+                               : 0.f;
+    }
+  }
+  static constexpr auto kTable =
+      TransposedTable(std::make_index_sequence<16>());
+  kTable[std::min<size_t>(dim, 16) - 1](points, n, dim, packed, blocks, out);
+}
+
 #undef VDT_AVX512
 #undef VDT_AVX512VNNI
 
@@ -619,6 +828,7 @@ const Backend* Avx512Backend() {
         .sq8_dot_batch = Avx512Sq8DotBatch,
         .pq_lookup_batch = Avx512PqLookupBatch,
         .sq8_dot_i8 = Avx512Sq8DotBatch,
+        .l2_nearest = Avx512L2Nearest,
     };
     // The VNNI fixed-point dot needs AVX512-VNNI on top of F/VL/BW;
     // decided once here so the scheme is fixed for the process lifetime.

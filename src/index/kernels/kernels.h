@@ -35,6 +35,8 @@
 //           as avx2.
 //   neon:   4-lane FMA accumulators (2-way unrolled), vaddvq reduction;
 //           same bound shape as avx2.
+//   neon is compiled and run nowhere in CI (no aarch64 runner, no
+//   cross-compile step): its kernels are untested.
 // tests/kernel_test.cc enforces |got - oracle| <= 4 * dim * eps *
 // sum|term| + dim * FLT_MIN (the additive floor covers underflow of
 // subnormal products) for every registered backend across dims 1..257.
@@ -56,6 +58,15 @@
 //   fixed-point path alias sq8_dot_i8 to their float sq8 dot kernel, and
 //   the scalar slot is the float reference itself, so VDT_KERNEL=scalar
 //   results never change.
+//
+// The l2_nearest slot (k-means assignment) returns indices, not distances,
+// and is exact: for every point it equals, bit for bit, the strict-< argmin
+// over the same backend's l2_batch (first index wins ties; NaN, +inf and
+// FLT_MAX never win). scalar, avx2 and neon run that loop
+// (ReferenceL2Nearest); avx512 scores 16 lane-transposed centroids per
+// register while replaying its row scheme lane by lane (avx512.cc), so its
+// assignments are exactly its l2_batch argmin. tests/kernel_test.cc checks
+// the equality on every available backend.
 #ifndef VDTUNER_INDEX_KERNELS_KERNELS_H_
 #define VDTUNER_INDEX_KERNELS_KERNELS_H_
 
@@ -107,6 +118,19 @@ using PqLookupBatchFn = void (*)(const float* table, const uint16_t* codes,
 /// scalar slot is the float reference bit-for-bit.
 using Sq8DotI8BatchFn = Sq8DotBatchFn;
 
+/// Nearest-centroid assignment: n points (`points` holds n * dim floats,
+/// point i at points + i * dim) against k contiguous centroid rows
+/// (`centroids` holds k * dim floats). out[i] is exactly the index the
+/// argmin loop over this backend's own l2_batch(point i, centroids) picks:
+/// starting from (index 0, FLT_MAX), centroid c replaces the best only when
+/// its distance is strictly below it — so the first index wins ties, and a
+/// NaN, +inf or FLT_MAX distance is never chosen (index 0 when nothing is).
+/// Backends may compute the distances in any layout that reproduces their
+/// l2_batch values bit for bit (see the avx512 lane-transposed scheme).
+using L2NearestFn = void (*)(const float* points, size_t n,
+                             const float* centroids, size_t k, size_t dim,
+                             int32_t* out);
+
 /// One kernel backend: a named, internally consistent set of kernels.
 /// All registered backends are listed by AllBackends(); the ones the
 /// current CPU can execute by AvailableBackends().
@@ -122,6 +146,7 @@ struct Backend {
   Sq8DotBatchFn sq8_dot_batch;
   PqLookupBatchFn pq_lookup_batch;
   Sq8DotI8BatchFn sq8_dot_i8;
+  L2NearestFn l2_nearest;
 };
 
 /// The portable reference PQ lookup: out[i] = ((bias + t_0) + t_1) + ...,
@@ -131,6 +156,14 @@ struct Backend {
 void ReferencePqLookupBatch(const float* table, const uint16_t* codes,
                             size_t m, size_t ksub, size_t n, float bias,
                             float* out);
+
+/// The reference nearest-centroid loop over a backend's `l2_batch`:
+/// distances in blocks of centroids, then the strict-< argmin scan the
+/// L2NearestFn contract defines. Backends without a faster layout serve
+/// their l2_nearest slot through it.
+void ReferenceL2Nearest(L2BatchFn l2_batch, const float* points, size_t n,
+                        const float* centroids, size_t k, size_t dim,
+                        int32_t* out);
 
 /// The portable reference backend; always available, and the oracle the
 /// vectorized backends are tested against. Its one-to-one kernels preserve

@@ -125,6 +125,11 @@ void NeonSq8DotBatch(const float* query, const uint8_t* codes,
   }
 }
 
+void NeonL2Nearest(const float* points, size_t n, const float* centroids,
+                   size_t k, size_t dim, int32_t* out) {
+  ReferenceL2Nearest(NeonL2Batch, points, n, centroids, k, dim, out);
+}
+
 bool NeonCpuSupported() { return true; }
 
 }  // namespace
@@ -143,6 +148,7 @@ const Backend* NeonBackend() {
       // aarch64, so both new slots keep the portable schemes.
       .pq_lookup_batch = ReferencePqLookupBatch,
       .sq8_dot_i8 = NeonSq8DotBatch,
+      .l2_nearest = NeonL2Nearest,
   };
   return &backend;
 }

@@ -6,6 +6,9 @@
 // makes block-invariance true by construction.
 #include "index/kernels/kernels.h"
 
+#include <algorithm>
+#include <cfloat>
+
 namespace vdt {
 namespace kernels {
 namespace {
@@ -108,9 +111,40 @@ void ScalarSq8DotBatch(const float* query, const uint8_t* codes,
   }
 }
 
+void ScalarL2Nearest(const float* points, size_t n, const float* centroids,
+                     size_t k, size_t dim, int32_t* out) {
+  ReferenceL2Nearest(ScalarL2Batch, points, n, centroids, k, dim, out);
+}
+
 bool AlwaysAvailable() { return true; }
 
 }  // namespace
+
+// Blocks of 256 centroids through the caller's l2_batch (block-invariant,
+// so the block size changes no distance), then the historic k-means argmin
+// scan: strict <, first index wins, FLT_MAX as the starting bound.
+void ReferenceL2Nearest(L2BatchFn l2_batch, const float* points, size_t n,
+                        const float* centroids, size_t k, size_t dim,
+                        int32_t* out) {
+  constexpr size_t kBlock = 256;
+  float dist[kBlock] = {};
+  for (size_t i = 0; i < n; ++i) {
+    const float* x = points + i * dim;
+    int32_t best = 0;
+    float best_d = FLT_MAX;
+    for (size_t base = 0; base < k; base += kBlock) {
+      const size_t len = std::min(kBlock, k - base);
+      l2_batch(x, centroids + base * dim, dim, len, dist);
+      for (size_t c = 0; c < len; ++c) {
+        if (dist[c] < best_d) {
+          best_d = dist[c];
+          best = static_cast<int32_t>(base + c);
+        }
+      }
+    }
+    out[i] = best;
+  }
+}
 
 // The historic IvfPqIndex ADC loop, preserved bit-for-bit: one sequential
 // float accumulation per row, seeded with the bias. Non-static so gather-
@@ -141,6 +175,7 @@ const Backend& ScalarBackend() {
       // results are pinned bit-for-bit regardless of which slot a caller
       // routes through.
       .sq8_dot_i8 = ScalarSq8DotBatch,
+      .l2_nearest = ScalarL2Nearest,
   };
   return backend;
 }

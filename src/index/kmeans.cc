@@ -74,46 +74,27 @@ FloatMatrix SeedPlusPlus(const FloatMatrix& train, size_t k, Rng* rng,
   return centroids;
 }
 
-/// Argmin over a precomputed centroid-distance buffer; first index wins
-/// ties, matching the historic sequential comparison loop exactly.
-int32_t ArgminDistance(const float* dist, size_t k) {
-  int32_t best = 0;
-  float best_d = std::numeric_limits<float>::max();
-  for (size_t c = 0; c < k; ++c) {
-    if (dist[c] < best_d) {
-      best_d = dist[c];
-      best = static_cast<int32_t>(c);
-    }
-  }
-  return best;
-}
-
 /// Nearest-centroid assignment for rows [0, n) of `data`, chunked across
-/// `executor`. The centroid table is contiguous, so each point is one
-/// one-to-many kernel scan into a per-chunk buffer. Each point's assignment
-/// is independent, so this is trivially bit-identical to the sequential
-/// loop.
+/// `executor`. Each chunk is one L2Nearest call over a contiguous row
+/// block; each point's assignment is independent, so this is trivially
+/// bit-identical to the sequential loop.
 void AssignAll(const FloatMatrix& centroids, const FloatMatrix& data,
                ParallelExecutor* executor, std::vector<int32_t>* assign) {
-  const size_t k = centroids.rows();
-  const size_t dim = centroids.dim();
   ParallelChunks(executor, data.rows(), kBuildChunk,
                  [&](size_t, size_t begin, size_t end) {
-                   std::vector<float> dist(k);
-                   for (size_t i = begin; i < end; ++i) {
-                     L2Batch(data.Row(i), centroids.Row(0), dim, k,
-                             dist.data());
-                     (*assign)[i] = ArgminDistance(dist.data(), k);
-                   }
+                   L2Nearest(data.Row(begin), end - begin, centroids.Row(0),
+                             centroids.rows(), centroids.dim(),
+                             assign->data() + begin);
                  });
 }
 
 }  // namespace
 
 int32_t NearestCentroid(const FloatMatrix& centroids, const float* x) {
-  std::vector<float> dist(centroids.rows());
-  L2Batch(x, centroids.Row(0), centroids.dim(), centroids.rows(), dist.data());
-  return ArgminDistance(dist.data(), centroids.rows());
+  int32_t nearest = 0;
+  L2Nearest(x, 1, centroids.Row(0), centroids.rows(), centroids.dim(),
+            &nearest);
+  return nearest;
 }
 
 KMeansResult KMeansCluster(const FloatMatrix& data, size_t k,

@@ -15,6 +15,7 @@
 #include "common/binary_io.h"
 #include "common/parallel_executor.h"
 #include "index/index.h"
+#include "index/index_io.h"
 #include "index/ivf_index.h"
 #include "index/kernels/kernels.h"
 #include "index/kmeans.h"
@@ -22,6 +23,7 @@
 #include "tuner/evaluator.h"
 #include "vdms/collection.h"
 #include "workload/churn.h"
+#include "workload/datasets.h"
 #include "workload/workload.h"
 
 namespace vdt {
@@ -151,6 +153,85 @@ TEST(BucketByAssignmentTest, MatchesSequentialScatterOrder) {
     ParallelExecutor executor(threads);
     EXPECT_EQ(BucketByAssignment(assignments, k, &executor), expected)
         << threads;
+  }
+}
+
+// Golden k-means and IVF_PQ outcomes: 64-bit FNV-1a digests of the
+// KMeansCluster centroids (float bits) and assignments, and of the IVF_PQ
+// SerializeState bytes (coarse centroids, posting lists, PQ codebooks and
+// code lists), captured under the scalar backend before k-means assignment
+// moved behind the l2_nearest kernel slot. Sub-dimensions span the PQ
+// subspaces the tuner trains (dsub 2..48); k = 16 and 256 are the ksub of
+// nbits 4 and 8. Every entry must reproduce at both executor widths.
+struct GoldenKMeans {
+  size_t dsub;
+  size_t k;
+  int threads;
+  uint64_t kmeans_digest;
+  uint64_t pq_digest;
+};
+
+constexpr GoldenKMeans kGoldenKMeans[] = {
+    {2, 16, 1, 0xc3a31c1855b5da4dull, 0x6edc5ab2d5a4db9cull},
+    {2, 16, 2, 0xc3a31c1855b5da4dull, 0xb3cc4e3686c6fea7ull},
+    {2, 256, 1, 0xfa86f556dd220618ull, 0xc2b73cbb320f2aabull},
+    {2, 256, 2, 0xfa86f556dd220618ull, 0x952897b68707c928ull},
+    {6, 16, 1, 0x4645b26511307ce7ull, 0xc843dc11923701baull},
+    {6, 16, 2, 0x4645b26511307ce7ull, 0xa9550deadd2feec5ull},
+    {6, 256, 1, 0x65d20cfd97af1dfaull, 0xc9372de8af31a663ull},
+    {6, 256, 2, 0x65d20cfd97af1dfaull, 0xf8d146aed364b580ull},
+    {12, 16, 1, 0xd9f8789c40d3cec9ull, 0xd5c51116736bc8baull},
+    {12, 16, 2, 0xd9f8789c40d3cec9ull, 0xabfb54488e6ce301ull},
+    {12, 256, 1, 0x2b7c6dd9794df044ull, 0x5544821f3d78540dull},
+    {12, 256, 2, 0x2b7c6dd9794df044ull, 0x40c73801b06b5072ull},
+    {48, 16, 1, 0x7a65d6d0f8a124eaull, 0x6c07403806f6e640ull},
+    {48, 16, 2, 0x7a65d6d0f8a124eaull, 0x64fb613d1eddebe3ull},
+    {48, 256, 1, 0x9d4c0739f1563c91ull, 0x72a45b1cf9195651ull},
+    {48, 256, 2, 0x9d4c0739f1563c91ull, 0x5ad7de8d6e9ba526ull},
+};
+
+TEST(KMeansGoldenTest, CentroidsAssignmentsAndPqCodesMatchGoldenDigests) {
+  BackendGuard guard;
+  ASSERT_TRUE(kernels::SetActive("scalar"));
+  constexpr size_t kRows = 1500;
+  constexpr int kSubspaces = 4;
+  for (const GoldenKMeans& g : kGoldenKMeans) {
+    // Glove-profile rows; k-means runs on the first PQ subspace of them.
+    const size_t dim = kSubspaces * g.dsub;
+    const FloatMatrix data =
+        GenerateDataset(DatasetProfile::kGlove, kRows, dim, 91);
+    FloatMatrix sub(kRows, g.dsub);
+    for (size_t i = 0; i < kRows; ++i) {
+      std::copy_n(data.Row(i), g.dsub, sub.Row(i));
+    }
+
+    ParallelExecutor executor(static_cast<size_t>(g.threads));
+    KMeansOptions options;
+    options.seed = 17;
+    options.executor = &executor;
+    const KMeansResult km = KMeansCluster(sub, g.k, options);
+    std::vector<uint8_t> bytes;
+    ByteWriter writer(&bytes);
+    WriteFloatMatrix(&writer, km.centroids);
+    for (const int32_t a : km.assignments) writer.I32(a);
+
+    IndexParams params;
+    params.nlist = 8;
+    params.m = kSubspaces;
+    params.nbits = g.k == 16 ? 4 : 8;
+    params.build_threads = g.threads;
+    IvfPqIndex pq(Metric::kL2, params, 23);
+    ASSERT_TRUE(pq.Build(data).ok());
+    std::vector<uint8_t> state;
+    ByteWriter state_writer(&state);
+    ASSERT_TRUE(pq.SerializeState(&state_writer).ok());
+
+    EXPECT_EQ(Fnv1a64(bytes), g.kmeans_digest)
+        << "KMeansCluster dsub=" << g.dsub << " k=" << g.k
+        << " threads=" << g.threads;
+    EXPECT_EQ(Fnv1a64(state), g.pq_digest)
+        << "IVF_PQ dsub=" << g.dsub << " k=" << g.k
+        << " threads=" << g.threads;
   }
 }
 

@@ -19,6 +19,7 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -432,6 +433,150 @@ TEST_P(KernelOracleTest, Sq8DotI8WithinDocumentedSchemeBound) {
   }
 }
 
+// ------------------------------------------- nearest-centroid assignment
+
+/// The l2_nearest contract spelled out: the strict-< argmin, from (0,
+/// FLT_MAX), over the backend's own l2_batch of each point.
+std::vector<int32_t> ArgminOverL2Batch(const kernels::Backend& backend,
+                                       const std::vector<float>& points,
+                                       const std::vector<float>& centroids,
+                                       size_t k, size_t dim) {
+  const size_t n = points.size() / dim;
+  std::vector<int32_t> nearest(n);
+  std::vector<float> dist(k);
+  for (size_t i = 0; i < n; ++i) {
+    backend.l2_batch(&points[i * dim], centroids.data(), dim, k, dist.data());
+    float best = FLT_MAX;
+    for (size_t c = 0; c < k; ++c) {
+      if (dist[c] < best) {
+        best = dist[c];
+        nearest[i] = static_cast<int32_t>(c);
+      }
+    }
+  }
+  return nearest;
+}
+
+/// The slot over the points, `chunk` points per call.
+std::vector<int32_t> L2NearestInChunks(const kernels::Backend& backend,
+                                       const std::vector<float>& points,
+                                       const std::vector<float>& centroids,
+                                       size_t k, size_t dim, size_t chunk) {
+  const size_t n = points.size() / dim;
+  std::vector<int32_t> nearest(n, -1);
+  for (size_t begin = 0; begin < n; begin += chunk) {
+    backend.l2_nearest(&points[begin * dim], std::min(chunk, n - begin),
+                       centroids.data(), k, dim, &nearest[begin]);
+  }
+  return nearest;
+}
+
+// Random centroids with exact duplicates (same lane a block later, and
+// other lanes), points that sit exactly on some centroids (so the
+// duplicates tie at the minimum), k on both sides of every 16-lane block
+// edge, and point chunks that are not lane multiples.
+TEST_P(KernelOracleTest, L2NearestMatchesArgminOverL2Batch) {
+  const kernels::Backend& backend = *GetParam();
+  Rng rng(0x4EA7);
+  std::vector<size_t> dims;
+  for (size_t dim = 1; dim <= 64; ++dim) dims.push_back(dim);
+  dims.push_back(96);
+  for (const size_t dim : dims) {
+    for (const size_t k : {1u, 7u, 15u, 16u, 17u, 100u, 256u, 4096u}) {
+      std::vector<float> centroids(k * dim);
+      FillRandom(centroids.data(), centroids.size(), 1.0, &rng);
+      for (size_t c = 0; c + 1 < k; c += 5) {
+        const size_t dup = std::min(k - 1, c + (c % 2 == 0 ? 16 : 3));
+        std::copy_n(&centroids[c * dim], dim, &centroids[dup * dim]);
+      }
+      const size_t n = k == 4096 ? 9 : 37;
+      std::vector<float> points(n * dim);
+      FillRandom(points.data(), points.size(), 1.0, &rng);
+      for (size_t i = 0; i < n; i += 3) {
+        const size_t c = static_cast<size_t>(rng.UniformInt(k));
+        std::copy_n(&centroids[c * dim], dim, &points[i * dim]);
+      }
+      const std::vector<int32_t> expected =
+          ArgminOverL2Batch(backend, points, centroids, k, dim);
+      for (const size_t chunk : {n, size_t{1}, size_t{17}}) {
+        EXPECT_EQ(L2NearestInChunks(backend, points, centroids, k, dim, chunk),
+                  expected)
+            << "dim=" << dim << " k=" << k << " chunk=" << chunk;
+      }
+    }
+  }
+}
+
+// Centroids that permute one base vector's coordinates sit at the same
+// exact distance from a constant point, so which one wins depends only on
+// how each sum rounds: any departure from l2_batch's accumulation order
+// picks a different index here.
+TEST_P(KernelOracleTest, L2NearestBreaksRoundingNearTiesLikeL2Batch) {
+  const kernels::Backend& backend = *GetParam();
+  Rng rng(0x7E5);
+  constexpr size_t kCentroids = 100;
+  std::vector<size_t> dims;
+  for (size_t dim = 2; dim <= 64; ++dim) dims.push_back(dim);
+  dims.push_back(96);
+  for (const size_t dim : dims) {
+    std::vector<float> base(dim);
+    for (size_t d = 0; d < dim; ++d) {
+      base[d] = static_cast<float>(rng.Uniform(-1.0, 1.0) *
+                                   std::pow(10.0, rng.Uniform(-2.0, 2.0)));
+    }
+    std::vector<float> centroids(kCentroids * dim);
+    for (size_t c = 0; c < kCentroids; ++c) {
+      for (size_t d = dim - 1; d > 0; --d) {
+        std::swap(base[d], base[static_cast<size_t>(rng.UniformInt(d + 1))]);
+      }
+      std::copy_n(base.data(), dim, &centroids[c * dim]);
+    }
+    std::vector<float> points(8 * dim);
+    for (size_t i = 0; i < 8; ++i) {
+      std::fill_n(&points[i * dim], dim,
+                  static_cast<float>(rng.Uniform(-3.0, 3.0)));
+    }
+    EXPECT_EQ(L2NearestInChunks(backend, points, centroids, kCentroids, dim, 8),
+              ArgminOverL2Batch(backend, points, centroids, kCentroids, dim))
+        << "dim=" << dim;
+  }
+}
+
+// Distances that are NaN (a NaN coordinate, or inf - inf), +inf (an inf
+// coordinate, or squares of huge ones overflowing) are never chosen, and a
+// point whose every distance is such gets index 0 — as the argmin loop.
+TEST_P(KernelOracleTest, L2NearestNeverPicksNanOrInfDistances) {
+  const kernels::Backend& backend = *GetParam();
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kNan = std::numeric_limits<float>::quiet_NaN();
+  const float poisons[] = {kNan, kInf, -kInf, 1e30f, -1e30f, FLT_MAX};
+  Rng rng(0x1AF);
+  for (const size_t dim : {1u, 2u, 5u, 16u, 17u, 33u, 64u, 96u}) {
+    for (const size_t k : {1u, 7u, 17u, 100u}) {
+      std::vector<float> centroids(k * dim);
+      FillRandom(centroids.data(), centroids.size(), 1.0, &rng);
+      for (size_t c = 0; c < k; c += 2) {
+        centroids[c * dim + rng.UniformInt(dim)] = poisons[(c / 2) % 6];
+      }
+      std::vector<float> points(24 * dim);
+      FillRandom(points.data(), points.size(), 1.0, &rng);
+      for (size_t i = 0; i < 24; i += 2) {
+        points[i * dim + rng.UniformInt(dim)] = poisons[(i / 2) % 6];
+      }
+      EXPECT_EQ(L2NearestInChunks(backend, points, centroids, k, dim, 24),
+                ArgminOverL2Batch(backend, points, centroids, k, dim))
+          << "dim=" << dim << " k=" << k;
+    }
+    // Nothing below FLT_MAX at all: index 0.
+    std::vector<float> poisoned(17 * dim, kNan);
+    for (size_t c = 0; c < 17; c += 2) poisoned[c * dim] = kInf;
+    std::vector<float> point(dim, 0.f);
+    EXPECT_EQ(L2NearestInChunks(backend, point, poisoned, 17, dim, 1),
+              std::vector<int32_t>{0})
+        << "dim=" << dim;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllAvailableBackends, KernelOracleTest,
     ::testing::ValuesIn(kernels::AvailableBackends()),
@@ -674,12 +819,14 @@ TEST(KernelDispatchTest, RegisteredBackendNamesEnumerateTheRegistry) {
   }
 }
 
-// Every Backend must populate the two new slots — a null pointer here
-// would only surface as a crash deep inside a PQ or SQ8 search.
+// Every Backend must populate the slots beyond the float ladder — a null
+// pointer here would only surface as a crash deep inside a PQ or SQ8
+// search or a k-means build.
 TEST(KernelDispatchTest, AllBackendsPopulateEverySlot) {
   for (const kernels::Backend* backend : kernels::AllBackends()) {
     EXPECT_NE(backend->pq_lookup_batch, nullptr) << backend->name;
     EXPECT_NE(backend->sq8_dot_i8, nullptr) << backend->name;
+    EXPECT_NE(backend->l2_nearest, nullptr) << backend->name;
   }
 }
 
@@ -698,6 +845,20 @@ TEST(KernelDispatchTest, PublicPqLookupRoutesThroughActiveBackend) {
                 via_api.data());
   kernels::Active().pq_lookup_batch(table.data(), codes.data(), m, ksub, n,
                                     1.0f, via_backend.data());
+  EXPECT_EQ(via_api, via_backend);
+}
+
+// The public L2Nearest entry routes through the active backend.
+TEST(KernelDispatchTest, PublicL2NearestRoutesThroughActiveBackend) {
+  const size_t dim = 6, k = 40, n = 19;
+  Rng rng(0xF01);
+  std::vector<float> centroids(k * dim), points(n * dim);
+  FillRandom(centroids.data(), centroids.size(), 1.0, &rng);
+  FillRandom(points.data(), points.size(), 1.0, &rng);
+  std::vector<int32_t> via_api(n), via_backend(n);
+  L2Nearest(points.data(), n, centroids.data(), k, dim, via_api.data());
+  kernels::Active().l2_nearest(points.data(), n, centroids.data(), k, dim,
+                               via_backend.data());
   EXPECT_EQ(via_api, via_backend);
 }
 
