@@ -1,16 +1,15 @@
-// Microbenchmarks (google-benchmark): sequential vs parallel index
-// construction for every index family the tuner builds per iteration —
-// kmeans-backed IVF_FLAT/IVF_SQ8/IVF_PQ/SCANN and graph-backed HNSW. The
-// build is the dominant per-iteration cost of the tuning loop (paper §V,
-// Table VI), so the thread-scaling measured here is the wall-clock lever
-// behind every tuner baseline and fig*/table* target.
+// Microbenchmarks (google-benchmark): index construction for every index
+// family the tuner builds per iteration — kmeans-backed
+// IVF_FLAT/IVF_SQ8/IVF_PQ/SCANN and graph-backed HNSW. The build is the
+// dominant per-iteration cost of the tuning loop (paper §V, Table VI).
 //
-// Thread counts sweep {1, 2, 4, 8}; 1 is the sequential baseline. The
-// kmeans-family results are bit-identical across the sweep (see the
-// VectorIndex::Build determinism contract), so this measures pure speedup.
-// HnswHighDegree builds at M = 48, where the sequential commit phase —
-// re-pruning every adjacency list a back-link overflows — dominates, so it
-// tracks the cost of the neighbor-selection heuristic itself.
+// The kmeans-family builds sweep build_threads over {1, 2, 4, 8}; 1 is the
+// sequential baseline, and the results are bit-identical across the sweep
+// (see the VectorIndex::Build determinism contract), so this measures pure
+// speedup. HNSW inserts sequentially at every width, so its builds run at
+// one width only. HnswHighDegree builds at M = 48, where re-pruning every
+// adjacency list a back-link overflows dominates, so it tracks the cost of
+// the neighbor-selection heuristic itself.
 //
 // BM_KMeansAssign times one k-means assignment pass — the step IVF_PQ
 // codebook training repeats per subspace and iteration — through the
@@ -65,23 +64,22 @@ void BM_Build(benchmark::State& state, IndexType type, int hnsw_m) {
                  std::to_string(threads));
 }
 
+void ThreadSweep(benchmark::internal::Benchmark* b) {
+  for (int threads : {1, 2, 4, 8}) b->Arg(threads);
+}
+
 #define VDT_BUILD_BENCH(name, type, hnsw_m)                                \
   void BM_Build_##name(benchmark::State& state) {                          \
     BM_Build(state, type, hnsw_m);                                         \
   }                                                                        \
-  BENCHMARK(BM_Build_##name)                                               \
-      ->Arg(1)                                                             \
-      ->Arg(2)                                                             \
-      ->Arg(4)                                                             \
-      ->Arg(8)                                                             \
-      ->Unit(benchmark::kMillisecond)
+  BENCHMARK(BM_Build_##name)->Unit(benchmark::kMillisecond)
 
-VDT_BUILD_BENCH(IvfFlat, IndexType::kIvfFlat, 16);
-VDT_BUILD_BENCH(IvfSq8, IndexType::kIvfSq8, 16);
-VDT_BUILD_BENCH(IvfPq, IndexType::kIvfPq, 16);
-VDT_BUILD_BENCH(Hnsw, IndexType::kHnsw, 16);
-VDT_BUILD_BENCH(HnswHighDegree, IndexType::kHnsw, 48);
-VDT_BUILD_BENCH(Scann, IndexType::kScann, 16);
+VDT_BUILD_BENCH(IvfFlat, IndexType::kIvfFlat, 16)->Apply(ThreadSweep);
+VDT_BUILD_BENCH(IvfSq8, IndexType::kIvfSq8, 16)->Apply(ThreadSweep);
+VDT_BUILD_BENCH(IvfPq, IndexType::kIvfPq, 16)->Apply(ThreadSweep);
+VDT_BUILD_BENCH(Hnsw, IndexType::kHnsw, 16)->Arg(1);
+VDT_BUILD_BENCH(HnswHighDegree, IndexType::kHnsw, 48)->Arg(1);
+VDT_BUILD_BENCH(Scann, IndexType::kScann, 16)->Apply(ThreadSweep);
 
 #undef VDT_BUILD_BENCH
 

@@ -25,11 +25,9 @@ Status AutoIndex::Build(const FloatMatrix& data) {
   if (data.rows() < kFlatThreshold) {
     delegate_ = std::make_unique<FlatIndex>(metric_);
   } else {
-    // Milvus' AUTOINDEX is a pre-tuned HNSW profile; only the build
-    // parallelism knob passes through.
-    IndexParams params = AutoIndexHnswProfile();
-    params.build_threads = build_threads_;
-    delegate_ = std::make_unique<HnswIndex>(metric_, params, seed_);
+    // Milvus' AUTOINDEX is a pre-tuned HNSW profile.
+    delegate_ = std::make_unique<HnswIndex>(metric_, AutoIndexHnswProfile(),
+                                            seed_);
   }
   return delegate_->Build(data);
 }

@@ -12,15 +12,13 @@ namespace vdt {
 
 /// The pre-tuned HNSW profile AUTOINDEX builds above its FLAT threshold
 /// (M = 16, efConstruction = 128, ef = 64), defined once for the index and
-/// the build-time cost model. build_threads is left at its default.
+/// the build-time cost model.
 IndexParams AutoIndexHnswProfile();
 
+/// AUTOINDEX exposes no knobs; both delegates build on the calling thread.
 class AutoIndex : public VectorIndex {
  public:
-  /// `build_threads` passes through to the delegate's build (see
-  /// IndexParams::build_threads); AUTOINDEX exposes no other knobs.
-  AutoIndex(Metric metric, uint64_t seed, int build_threads = 0)
-      : metric_(metric), seed_(seed), build_threads_(build_threads) {}
+  AutoIndex(Metric metric, uint64_t seed) : metric_(metric), seed_(seed) {}
 
   Status Build(const FloatMatrix& data) override;
   /// AUTOINDEX has no user-visible knobs: per-call overrides are ignored,
@@ -44,7 +42,6 @@ class AutoIndex : public VectorIndex {
  private:
   Metric metric_;
   uint64_t seed_;
-  int build_threads_;
   std::unique_ptr<VectorIndex> delegate_;
 };
 

@@ -6,20 +6,12 @@
 #include <queue>
 #include <string>
 
-#include "common/parallel_executor.h"
 #include "index/index_io.h"
 #include "index/topk.h"
 
 namespace vdt {
 
 namespace {
-/// Nodes whose candidate searches run concurrently against one graph
-/// snapshot in the batched build. Fixed (never derived from the executor
-/// width) so the built graph is identical for any thread count; nodes within
-/// one batch do not see each other, which is the only difference from the
-/// sequential (batch = 1) insertion order.
-constexpr size_t kBuildBatch = 16;
-
 using Candidate = HnswIndex::Candidate;
 using Decision = Candidate::Decision;
 
@@ -253,13 +245,6 @@ Status HnswIndex::Build(const FloatMatrix& data) {
   data_ = &data;
   const size_t n = data.rows();
 
-  ParallelExecutor* executor = ResolveBuildExecutor(params_.build_threads);
-  // Batch width 1 reproduces the classic sequential insertion bit-for-bit
-  // (a node's own commits are invisible to its lower-layer searches, so
-  // search-then-commit per node equals the interleaved order). Any other
-  // width runs the fixed kBuildBatch snapshot batching.
-  const size_t batch = executor == nullptr ? 1 : kBuildBatch;
-
   // Exponentially distributed level draws, up front: levels are the build's
   // only random draws, so this is the same stream the per-node draw used.
   Rng rng(seed_);
@@ -283,93 +268,73 @@ Status HnswIndex::Build(const FloatMatrix& data) {
   LinkState state(node_level_, MaxDegree(1));
   std::vector<Candidate> chosen;  // a node's own selection
   std::vector<Candidate> prune;   // an overflowing back-link list
-  for (size_t batch_begin = 1; batch_begin < n; batch_begin += batch) {
-    const size_t batch_end = std::min(n, batch_begin + batch);
-    const size_t batch_n = batch_end - batch_begin;
+  for (uint32_t i = 1; i < n; ++i) {
+    const float* q = data.Row(i);
+    const int level = node_level_[i];
+    uint32_t ep = entry_;
 
-    // Search phase: per-level candidate lists for every batch node against
-    // the current graph, which no one mutates until the commit phase.
-    // plans[j][lc] = candidates of node batch_begin + j at layer lc.
-    std::vector<std::vector<std::vector<Neighbor>>> plans(batch_n);
-    auto search_node = [&](size_t j) {
-      const uint32_t i = static_cast<uint32_t>(batch_begin + j);
-      const float* q = data.Row(i);
-      const int level = node_level_[i];
-      uint32_t ep = entry_;
-
-      // Greedy descent through layers above the node's level.
-      for (int lc = max_level_; lc > level; --lc) {
-        bool improved = true;
-        float d_ep = Dist(q, ep, nullptr);
-        while (improved) {
-          improved = false;
-          for (uint32_t nb : LinksAt(ep, lc)) {
-            const float d = Dist(q, nb, nullptr);
-            if (d < d_ep) {
-              d_ep = d;
-              ep = nb;
-              improved = true;
-            }
+    // Greedy descent through layers above the node's level.
+    for (int lc = max_level_; lc > level; --lc) {
+      bool improved = true;
+      float d_ep = Dist(q, ep, nullptr);
+      while (improved) {
+        improved = false;
+        for (uint32_t nb : LinksAt(ep, lc)) {
+          const float d = Dist(q, nb, nullptr);
+          if (d < d_ep) {
+            d_ep = d;
+            ep = nb;
+            improved = true;
           }
         }
       }
+    }
 
-      auto& per_level = plans[j];
-      per_level.resize(static_cast<size_t>(std::min(level, max_level_)) + 1);
-      for (int lc = std::min(level, max_level_); lc >= 0; --lc) {
-        std::vector<Neighbor> nearest =
-            SearchLayer(q, ep, ef_c, lc, nullptr, nullptr);
-        if (!nearest.empty()) ep = static_cast<uint32_t>(nearest.front().id);
-        per_level[lc] = std::move(nearest);
+    // Insert into each layer from the node's top down: search, select the
+    // node's links, link back.
+    for (int lc = std::min(level, max_level_); lc >= 0; --lc) {
+      const std::vector<Neighbor> nearest =
+          SearchLayer(q, ep, ef_c, lc, nullptr, nullptr);
+      if (!nearest.empty()) ep = static_cast<uint32_t>(nearest.front().id);
+
+      const size_t max_m = MaxDegree(lc);
+      chosen.clear();
+      for (const Neighbor& nb : nearest) {
+        chosen.push_back({static_cast<uint32_t>(nb.id), nb.distance});
       }
-    };
-    ParallelForOrInline(executor, batch_n, search_node);
+      const size_t kept = SelectNeighbors(metric_, data, &chosen, max_m);
+      std::vector<uint32_t>& links = LinksAt(i, lc);
+      links.reserve(chosen.size());
+      state.Store(state.List(i, lc), chosen, kept, &links);
 
-    // Commit phase: sequential, in node order — the graph mutations below
-    // are the only writes, so the build is deterministic for any width.
-    for (size_t j = 0; j < batch_n; ++j) {
-      const uint32_t i = static_cast<uint32_t>(batch_begin + j);
-      const auto& per_level = plans[j];
-      for (int lc = static_cast<int>(per_level.size()) - 1; lc >= 0; --lc) {
-        const size_t max_m = MaxDegree(lc);
-        chosen.clear();
-        for (const Neighbor& nb : per_level[lc]) {
-          chosen.push_back({static_cast<uint32_t>(nb.id), nb.distance});
+      // Bidirectional connections with degree-bounded pruning. The
+      // back-link's distance is the one just used: the kernels are
+      // symmetric, so dist(nb, i) == dist(i, nb) bit for bit.
+      for (const Candidate& nb : chosen) {
+        std::vector<uint32_t>& back = LinksAt(nb.id, lc);
+        const size_t list = state.List(nb.id, lc);
+        if (back.size() == max_m && back.capacity() != max_m + 1) {
+          // The list is about to overflow and stays full from now on:
+          // size it exactly once, since every later prune rewrites it in
+          // place (a doubled capacity would stay with the built index).
+          std::vector<uint32_t> sized;
+          sized.reserve(max_m + 1);
+          sized.assign(back.begin(), back.end());
+          back.swap(sized);
         }
-        const size_t kept = SelectNeighbors(metric_, data, &chosen, max_m);
-        std::vector<uint32_t>& links = LinksAt(i, lc);
-        links.reserve(chosen.size());
-        state.Store(state.List(i, lc), chosen, kept, &links);
-
-        // Bidirectional connections with degree-bounded pruning. The
-        // back-link's distance is the one just used: the kernels are
-        // symmetric, so dist(nb, i) == dist(i, nb) bit for bit.
-        for (const Candidate& nb : chosen) {
-          std::vector<uint32_t>& back = LinksAt(nb.id, lc);
-          const size_t list = state.List(nb.id, lc);
-          if (back.size() == max_m && back.capacity() != max_m + 1) {
-            // The list is about to overflow and stays full from now on:
-            // size it exactly once, since every later prune rewrites it in
-            // place (a doubled capacity would stay with the built index).
-            std::vector<uint32_t> sized;
-            sized.reserve(max_m + 1);
-            sized.assign(back.begin(), back.end());
-            back.swap(sized);
-          }
-          state.Distances(list)[back.size()] = nb.distance;
-          back.push_back(i);
-          if (back.size() > max_m) {
-            state.LoadSorted(list, back, &prune);
-            const size_t back_kept =
-                SelectNeighbors(metric_, data, &prune, max_m);
-            state.Store(list, prune, back_kept, &back);
-          }
+        state.Distances(list)[back.size()] = nb.distance;
+        back.push_back(i);
+        if (back.size() > max_m) {
+          state.LoadSorted(list, back, &prune);
+          const size_t back_kept =
+              SelectNeighbors(metric_, data, &prune, max_m);
+          state.Store(list, prune, back_kept, &back);
         }
       }
-      if (node_level_[i] > max_level_) {
-        entry_ = i;
-        max_level_ = node_level_[i];
-      }
+    }
+    if (level > max_level_) {
+      entry_ = i;
+      max_level_ = level;
     }
   }
   return Status::OK();

@@ -2,14 +2,12 @@
 // 2018; paper Table I). Build parameters: M (graph degree), efConstruction
 // (build beam width). Search parameter: ef (query beam width).
 //
-// Construction is parallel when params.build_threads != 1: nodes insert in
-// fixed-size batches whose candidate searches run concurrently against a
-// graph snapshot, followed by a sequential commit in node order. The graph
-// is deterministic for any executor width; it differs from the sequential
-// (build_threads == 1) graph only in that same-batch nodes do not link to
-// each other, which preserves recall within test tolerance.
+// Construction inserts nodes one at a time in node order on the calling
+// thread, whatever params.build_threads says, so every width builds the one
+// graph. Running batches of candidate searches concurrently against a graph
+// snapshot cost ~30% more CPU for 0-20% less wall time, varying by run.
 //
-// The commit phase is where a build spends most of its CPU: every back-link
+// Linking is where a build spends most of its CPU: every back-link
 // that lands in a full adjacency list re-runs the diversity heuristic
 // (SelectNeighbors) over the list. The build keeps each link's distance to
 // the list's owner beside it, and each heuristic run leaves the list as two
@@ -21,9 +19,9 @@
 // decision that flips, every later link in full. It selects exactly what a
 // from-scratch run selects, so the graph — link ids, link order, levels
 // and entry point — is byte-identical to the historic from-scratch build
-// for every backend, M, efConstruction and build mode (pinned by the
-// golden digests in tests/build_parity_test.cc). Reusing a stored distance
-// relies on the kernels' symmetry, dist(a, b) == dist(b, a) bit for bit
+// for every backend, M and efConstruction (pinned by the golden digests
+// in tests/build_parity_test.cc). Reusing a stored distance relies on the
+// kernels' symmetry, dist(a, b) == dist(b, a) bit for bit
 // (index/kernels/kernels.h).
 #ifndef VDTUNER_INDEX_HNSW_INDEX_H_
 #define VDTUNER_INDEX_HNSW_INDEX_H_
@@ -67,8 +65,13 @@ class HnswIndex : public VectorIndex {
   static size_t SelectNeighbors(Metric metric, const FloatMatrix& data,
                                 std::vector<Candidate>* cands, size_t max_m);
 
+  /// The build runs on the calling thread whatever params.build_threads
+  /// asks for, so the index records the width it runs at (1): the
+  /// serialized graph is then the same for every requested width.
   HnswIndex(Metric metric, const IndexParams& params, uint64_t seed)
-      : metric_(metric), params_(params), seed_(seed) {}
+      : metric_(metric), params_(params), seed_(seed) {
+    params_.build_threads = 1;
+  }
 
   Status Build(const FloatMatrix& data) override;
   /// `knobs` (may be null) overrides ef for this call only — the same field

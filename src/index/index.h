@@ -54,11 +54,9 @@ struct IndexParams {
   /// Worker threads for Build(): 0 = the process-wide ParallelExecutor
   /// (sized by VDT_THREADS, like SearchBatch), 1 = sequential, n > 1 = a
   /// shared pool of that width. Not a tuned parameter. The kmeans-family
-  /// builds are bit-identical for every width, so BuildSignature() ignores
-  /// this knob for them; HNSW builds a different (equally valid) graph in
-  /// sequential (1) vs batched (everything else) mode — see
-  /// HnswIndex::Build — so for HNSW the signature records the mode (never
-  /// the width).
+  /// builds shard across it; HNSW and FLAT build on the calling thread.
+  /// Every index type builds bit-identical structures at every width, so
+  /// BuildSignature() ignores this knob.
   int build_threads = 0;
 
   std::string ToString() const;
@@ -161,13 +159,11 @@ class VectorIndex {
   /// an index whose Build() has not returned.
   ///
   /// Determinism contract: given the same (data, params, seed), the built
-  /// structures are bit-identical for every build_threads value on the
-  /// kmeans-family indexes (IVF_FLAT/SQ8/PQ, SCANN) and on FLAT — every
-  /// parallel pass runs over a fixed chunk grid with per-chunk partials
-  /// merged in chunk order. HNSW is deterministic for any executor width,
-  /// but its batched graph (build_threads != 1) differs from the sequential
-  /// one (build_threads == 1) by design; the two are recall-equivalent
-  /// within test tolerance.
+  /// structures of every index type are bit-identical for every
+  /// build_threads value. The kmeans-family indexes (IVF_FLAT/SQ8/PQ, SCANN)
+  /// run every parallel pass over a fixed chunk grid with per-chunk
+  /// partials merged in chunk order; FLAT, HNSW and AUTOINDEX build
+  /// sequentially.
   virtual Status Build(const FloatMatrix& data) = 0;
 
   /// Exact/approximate top-k for `query`; results sorted by distance
@@ -286,8 +282,8 @@ std::vector<std::vector<Neighbor>> ParallelSearchBatch(
 ParallelExecutor* ResolveBuildExecutor(int build_threads);
 
 /// Creates an index of `type` with `params` over `metric`. `seed` controls
-/// k-means and HNSW level draws. AUTOINDEX ignores the tunable params and
-/// picks its own (only params.build_threads is honored).
+/// k-means and HNSW level draws. AUTOINDEX ignores `params` and picks its
+/// own.
 std::unique_ptr<VectorIndex> CreateIndex(IndexType type, Metric metric,
                                          const IndexParams& params,
                                          uint64_t seed);

@@ -24,7 +24,7 @@ std::unique_ptr<VectorIndex> CreateIndex(IndexType type, Metric metric,
     case IndexType::kScann:
       return std::make_unique<ScannIndex>(metric, params, seed);
     case IndexType::kAutoIndex:
-      return std::make_unique<AutoIndex>(metric, seed, params.build_threads);
+      return std::make_unique<AutoIndex>(metric, seed);
   }
   return nullptr;
 }

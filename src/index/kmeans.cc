@@ -90,13 +90,6 @@ void AssignAll(const FloatMatrix& centroids, const FloatMatrix& data,
 
 }  // namespace
 
-int32_t NearestCentroid(const FloatMatrix& centroids, const float* x) {
-  int32_t nearest = 0;
-  L2Nearest(x, 1, centroids.Row(0), centroids.rows(), centroids.dim(),
-            &nearest);
-  return nearest;
-}
-
 KMeansResult KMeansCluster(const FloatMatrix& data, size_t k,
                            const KMeansOptions& options) {
   KMeansResult result;

@@ -61,21 +61,17 @@ struct VdmsEvaluatorOptions {
   /// dominant per-iteration cost): 0 leaves the configuration's own
   /// IndexParams::build_threads in effect (default: the process-wide
   /// VDT_THREADS executor); n > 0 overrides it for every collection this
-  /// evaluator stands up. The kmeans-family indexes build bit-identical
-  /// structures at every width, so there this changes wall-clock only.
-  /// HNSW builds a different (equally valid, recall-equivalent) graph in
-  /// sequential (1) vs batched (any other value) mode; BuildSignature —
-  /// and therefore the build cache key — records that mode, so cached
-  /// collections are never shared across it.
+  /// evaluator stands up. Every index type builds bit-identical structures
+  /// at every width, so this changes wall-clock only (and only for the
+  /// kmeans family: FLAT, HNSW and AUTOINDEX build on the calling thread).
   size_t build_threads = 0;
   /// Churn mode: when set (non-owning, must outlive the evaluator), every
   /// evaluation stands up an *empty* collection with the configuration and
   /// drives it through this mixed insert/delete/search timeline instead of
   /// replaying the static `workload`. Because the timeline mutates the
   /// collection (deletes, compactions), churn evaluations bypass the build
-  /// cache entirely. Outcomes stay deterministic at any eval_threads /
-  /// build_threads width for the kmeans-family and FLAT index types (HNSW
-  /// keeps its documented sequential-vs-batched mode distinction).
+  /// cache entirely. Outcomes are identical at any eval_threads /
+  /// build_threads width.
   ///
   /// Pair churn tuning with ParamSpace(/*dynamic_workload=*/true):
   /// otherwise the compaction_deleted_ratio knob — the one dimension that

@@ -1,14 +1,12 @@
-// Sequential-vs-parallel Build() parity: the kmeans-family indexes
-// (IVF_FLAT/SQ8/PQ, SCANN) and FLAT must produce bit-identical structures
-// for every build_threads value; HNSW must be deterministic per mode and
-// recall-equivalent across modes. Also covers the chunked kmeans/scatter
-// primitives, the n < threads and odd-dim edge cases, the collection-level
-// plumbing, and the named build error messages.
+// Sequential-vs-parallel Build() parity: every index type must produce
+// bit-identical structures for every build_threads value, and HNSW graphs
+// must match their golden digests at every width. Also covers the chunked
+// kmeans/scatter primitives, the n < threads and odd-dim edge cases, the
+// collection-level plumbing, and the named build error messages.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -81,23 +79,6 @@ void ExpectIdenticalSearches(const VectorIndex& a, const VectorIndex& b,
     }
   }
   EXPECT_EQ(wa.Total(), wb.Total());
-}
-
-double RecallAgainstBruteForce(const VectorIndex& index,
-                               const FloatMatrix& data,
-                               const FloatMatrix& queries, size_t k) {
-  double sum = 0.0;
-  for (size_t q = 0; q < queries.rows(); ++q) {
-    auto truth =
-        BruteForceSearch(data, Metric::kAngular, queries.Row(q), k, nullptr);
-    std::set<int64_t> expected;
-    for (const auto& t : truth) expected.insert(t.id);
-    auto hits = index.Search(queries.Row(q), k, nullptr);
-    size_t found = 0;
-    for (const auto& h : hits) found += expected.count(h.id);
-    sum += static_cast<double>(found) / static_cast<double>(k);
-  }
-  return sum / static_cast<double>(queries.rows());
 }
 
 // ------------------------------------------------------- kmeans primitives
@@ -276,93 +257,45 @@ INSTANTIATE_TEST_SUITE_P(KMeansFamily, BuildParityTest,
 
 // ----------------------------------------------------------- HNSW parity
 
-TEST(HnswBuildParityTest, ParallelGraphDeterministicAcrossWidths) {
-  FloatMatrix data = ClusteredMatrix(1100, 24, 12, 0.3, 41);
-  FloatMatrix queries = ClusteredMatrix(20, 24, 12, 0.33, 42);
-  // Batched mode output must not depend on the executor width (2 vs 8), nor
-  // on whether the width came from build_threads or the default executor.
-  auto a = BuildWith(IndexType::kHnsw, data, 2);
-  auto b = BuildWith(IndexType::kHnsw, data, 8);
-  ExpectIdenticalSearches(*a, *b, queries, 10);
-  EXPECT_EQ(a->MemoryBytes(), b->MemoryBytes());
-}
-
-TEST(HnswBuildParityTest, SequentialAndBatchedGraphsRecallEquivalent) {
-  const size_t k = 10;
-  FloatMatrix data = ClusteredMatrix(1500, 24, 16, 0.28, 43);
-  FloatMatrix queries = ClusteredMatrix(24, 24, 16, 0.3, 44);
-  auto seq = BuildWith(IndexType::kHnsw, data, 1);
-  auto par = BuildWith(IndexType::kHnsw, data, 4);
-  const double r_seq = RecallAgainstBruteForce(*seq, data, queries, k);
-  const double r_par = RecallAgainstBruteForce(*par, data, queries, k);
-  EXPECT_GT(r_seq, 0.85);
-  EXPECT_GT(r_par, 0.85);
-  EXPECT_NEAR(r_seq, r_par, 0.08);
-}
-
 // Golden HNSW graphs: SerializeState digests (64-bit FNV-1a over the bytes:
 // link ids, link order, levels and entry point) captured under the scalar
 // backend before the build's degree-overflow prune began reusing its earlier
 // neighbor-selection decisions. Any build change must reproduce every graph
 // exactly, so tuner histories, build-cache signatures and recalls stay put.
+// Every entry must reproduce at build_threads 1 and 2.
 struct GoldenGraph {
   int m;
   int ef_construction;
-  int build_threads;
   Metric metric;
   size_t rows;
   uint64_t digest;
 };
 
 constexpr GoldenGraph kGoldenGraphs[] = {
-    {4, 16, 1, Metric::kL2, 600, 0xa9d604c9e0ee098full},
-    {4, 16, 1, Metric::kL2, 3000, 0x429a23da0be5b4ccull},
-    {4, 16, 1, Metric::kAngular, 600, 0xda8caa14c88d78eeull},
-    {4, 16, 1, Metric::kAngular, 3000, 0x441fc63da3e6047aull},
-    {4, 16, 2, Metric::kL2, 600, 0xff287e166795bfa2ull},
-    {4, 16, 2, Metric::kL2, 3000, 0x7055b31a710e6521ull},
-    {4, 16, 2, Metric::kAngular, 600, 0xefb25a8dbb7ff8e7ull},
-    {4, 16, 2, Metric::kAngular, 3000, 0xb3beb3da3add2416ull},
-    {4, 96, 1, Metric::kL2, 600, 0x3dd6017f94aece67ull},
-    {4, 96, 1, Metric::kL2, 3000, 0xab81db9a3b428057ull},
-    {4, 96, 1, Metric::kAngular, 600, 0x80210ab5a1423a43ull},
-    {4, 96, 1, Metric::kAngular, 3000, 0xa7ae330182f72adbull},
-    {4, 96, 2, Metric::kL2, 600, 0x05c181e1378e2c5full},
-    {4, 96, 2, Metric::kL2, 3000, 0x803ce6410fe5e56bull},
-    {4, 96, 2, Metric::kAngular, 600, 0xfdaeff975a62b2e0ull},
-    {4, 96, 2, Metric::kAngular, 3000, 0xed83e28d9647d63bull},
-    {16, 16, 1, Metric::kL2, 600, 0xe08ee744d04e107eull},
-    {16, 16, 1, Metric::kL2, 3000, 0x960e2ec3bfefa360ull},
-    {16, 16, 1, Metric::kAngular, 600, 0x76e610c6e0b7550bull},
-    {16, 16, 1, Metric::kAngular, 3000, 0x882e2298e79d2884ull},
-    {16, 16, 2, Metric::kL2, 600, 0x8336cec93adf2e9bull},
-    {16, 16, 2, Metric::kL2, 3000, 0xfa32267758ed25cbull},
-    {16, 16, 2, Metric::kAngular, 600, 0x9a1619cb694ff5cdull},
-    {16, 16, 2, Metric::kAngular, 3000, 0xdab42035fbe4ab03ull},
-    {16, 96, 1, Metric::kL2, 600, 0x7a43586ef0cdfb00ull},
-    {16, 96, 1, Metric::kL2, 3000, 0x9370bde7faf96d8cull},
-    {16, 96, 1, Metric::kAngular, 600, 0xf916b4257bb87cf5ull},
-    {16, 96, 1, Metric::kAngular, 3000, 0x2ed30eac127bf601ull},
-    {16, 96, 2, Metric::kL2, 600, 0x243f9c8709ca937cull},
-    {16, 96, 2, Metric::kL2, 3000, 0x26bfbc560dbf2932ull},
-    {16, 96, 2, Metric::kAngular, 600, 0xee1f36ee9b167236ull},
-    {16, 96, 2, Metric::kAngular, 3000, 0xf5d34ca045608974ull},
-    {49, 16, 1, Metric::kL2, 600, 0xff25dd04e4385c26ull},
-    {49, 16, 1, Metric::kL2, 3000, 0x142146846cf1f08dull},
-    {49, 16, 1, Metric::kAngular, 600, 0x4eb5a4dd8633d965ull},
-    {49, 16, 1, Metric::kAngular, 3000, 0x3e993ff54be65c4cull},
-    {49, 16, 2, Metric::kL2, 600, 0x1525d24203d83b8full},
-    {49, 16, 2, Metric::kL2, 3000, 0x8240cb02a1ddaab2ull},
-    {49, 16, 2, Metric::kAngular, 600, 0xef9d79fae88fa5efull},
-    {49, 16, 2, Metric::kAngular, 3000, 0xbde42d5f9dc91109ull},
-    {49, 96, 1, Metric::kL2, 600, 0xaa8a81a634d257dfull},
-    {49, 96, 1, Metric::kL2, 3000, 0x1f389055a891b35full},
-    {49, 96, 1, Metric::kAngular, 600, 0x1538b74d04a529a7ull},
-    {49, 96, 1, Metric::kAngular, 3000, 0x74064dff2a8308f8ull},
-    {49, 96, 2, Metric::kL2, 600, 0xd99682e44179c468ull},
-    {49, 96, 2, Metric::kL2, 3000, 0x098979254e060c32ull},
-    {49, 96, 2, Metric::kAngular, 600, 0x1121dee98d821f31ull},
-    {49, 96, 2, Metric::kAngular, 3000, 0x4e427946b46ee9b1ull},
+    {4, 16, Metric::kL2, 600, 0xa9d604c9e0ee098full},
+    {4, 16, Metric::kL2, 3000, 0x429a23da0be5b4ccull},
+    {4, 16, Metric::kAngular, 600, 0xda8caa14c88d78eeull},
+    {4, 16, Metric::kAngular, 3000, 0x441fc63da3e6047aull},
+    {4, 96, Metric::kL2, 600, 0x3dd6017f94aece67ull},
+    {4, 96, Metric::kL2, 3000, 0xab81db9a3b428057ull},
+    {4, 96, Metric::kAngular, 600, 0x80210ab5a1423a43ull},
+    {4, 96, Metric::kAngular, 3000, 0xa7ae330182f72adbull},
+    {16, 16, Metric::kL2, 600, 0xe08ee744d04e107eull},
+    {16, 16, Metric::kL2, 3000, 0x960e2ec3bfefa360ull},
+    {16, 16, Metric::kAngular, 600, 0x76e610c6e0b7550bull},
+    {16, 16, Metric::kAngular, 3000, 0x882e2298e79d2884ull},
+    {16, 96, Metric::kL2, 600, 0x7a43586ef0cdfb00ull},
+    {16, 96, Metric::kL2, 3000, 0x9370bde7faf96d8cull},
+    {16, 96, Metric::kAngular, 600, 0xf916b4257bb87cf5ull},
+    {16, 96, Metric::kAngular, 3000, 0x2ed30eac127bf601ull},
+    {49, 16, Metric::kL2, 600, 0xff25dd04e4385c26ull},
+    {49, 16, Metric::kL2, 3000, 0x142146846cf1f08dull},
+    {49, 16, Metric::kAngular, 600, 0x4eb5a4dd8633d965ull},
+    {49, 16, Metric::kAngular, 3000, 0x3e993ff54be65c4cull},
+    {49, 96, Metric::kL2, 600, 0xaa8a81a634d257dfull},
+    {49, 96, Metric::kL2, 3000, 0x1f389055a891b35full},
+    {49, 96, Metric::kAngular, 600, 0x1538b74d04a529a7ull},
+    {49, 96, Metric::kAngular, 3000, 0x74064dff2a8308f8ull},
 };
 
 TEST(HnswBuildParityTest, GraphsMatchGoldenDigests) {
@@ -373,41 +306,40 @@ TEST(HnswBuildParityTest, GraphsMatchGoldenDigests) {
     // Unnormalized rows under L2, so the two metrics see different geometry.
     const FloatMatrix data =
         ClusteredMatrix(g.rows, dim, 12, 0.3, 81, g.metric != Metric::kL2);
-    IndexParams params;
-    params.hnsw_m = g.m;
-    params.ef_construction = g.ef_construction;
-    params.build_threads = g.build_threads;
-    auto index = CreateIndex(IndexType::kHnsw, g.metric, params, 5);
-    ASSERT_TRUE(index->Build(data).ok());
-    std::vector<uint8_t> bytes;
-    ByteWriter writer(&bytes);
-    ASSERT_TRUE(index->SerializeState(&writer).ok());
-    EXPECT_EQ(Fnv1a64(bytes), g.digest)
-        << "M=" << g.m << " efConstruction=" << g.ef_construction
-        << " build_threads=" << g.build_threads << " "
-        << MetricName(g.metric) << " rows=" << g.rows;
+    for (int build_threads : {1, 2}) {
+      IndexParams params;
+      params.hnsw_m = g.m;
+      params.ef_construction = g.ef_construction;
+      params.build_threads = build_threads;
+      auto index = CreateIndex(IndexType::kHnsw, g.metric, params, 5);
+      ASSERT_TRUE(index->Build(data).ok());
+      std::vector<uint8_t> bytes;
+      ByteWriter writer(&bytes);
+      ASSERT_TRUE(index->SerializeState(&writer).ok());
+      EXPECT_EQ(Fnv1a64(bytes), g.digest)
+          << "M=" << g.m << " efConstruction=" << g.ef_construction
+          << " build_threads=" << build_threads << " "
+          << MetricName(g.metric) << " rows=" << g.rows;
+    }
   }
 }
 
-TEST(HnswBuildParityTest, SignatureRecordsModeButNeverWidth) {
+TEST(HnswBuildParityTest, SignatureNeverRecordsWidth) {
   IndexParams seq, par2, par8, global;
   seq.build_threads = 1;
   par2.build_threads = 2;
   par8.build_threads = 8;
   global.build_threads = 0;
-  // HNSW: the sequential graph differs from the batched one, so the cache
-  // signature separates the modes; batched widths all share one signature.
-  EXPECT_NE(BuildSignature(IndexType::kHnsw, seq),
-            BuildSignature(IndexType::kHnsw, par2));
-  EXPECT_EQ(BuildSignature(IndexType::kHnsw, par2),
-            BuildSignature(IndexType::kHnsw, par8));
-  EXPECT_EQ(BuildSignature(IndexType::kHnsw, par2),
-            BuildSignature(IndexType::kHnsw, global));
-  // kmeans family: bit-identical at every width, one signature for all.
-  for (IndexType type : {IndexType::kIvfFlat, IndexType::kIvfSq8,
+  // Every type builds bit-identical structures at every width, so all
+  // widths share one cache signature.
+  for (IndexType type : {IndexType::kHnsw, IndexType::kAutoIndex,
+                         IndexType::kIvfFlat, IndexType::kIvfSq8,
                          IndexType::kIvfPq, IndexType::kScann}) {
-    EXPECT_EQ(BuildSignature(type, seq), BuildSignature(type, par8))
-        << IndexTypeName(type);
+    const std::string expected = BuildSignature(type, seq);
+    for (const IndexParams& params : {par2, par8, global}) {
+      EXPECT_EQ(BuildSignature(type, params), expected)
+          << IndexTypeName(type) << " build_threads=" << params.build_threads;
+    }
   }
 }
 
@@ -452,34 +384,40 @@ TEST(CollectionBuildParityTest, BuildThreadsChangesNothingObservable) {
 }
 
 TEST(EvaluatorBuildParityTest, BuildThreadsOverrideKeepsOutcome) {
+  // 900 rows: above AUTOINDEX's FLAT threshold, so it builds its HNSW.
   FloatMatrix data = ClusteredMatrix(900, 16, 8, 0.3, 61);
   Workload workload = MakeWorkload(DatasetProfile::kGlove, data, 16, 10, 62);
 
-  TuningConfig config;
-  config.index_type = IndexType::kIvfFlat;
-  config.index.nlist = 16;
-  config.index.nprobe = 8;
+  for (const IndexType type :
+       {IndexType::kIvfFlat, IndexType::kHnsw, IndexType::kAutoIndex}) {
+    TuningConfig config;
+    config.index_type = type;
+    config.index.nlist = 16;
+    config.index.nprobe = 8;
+    config.index.hnsw_m = 12;
+    config.index.ef_construction = 64;
+    config.index.ef = 32;
 
-  auto evaluate = [&](size_t build_threads) {
-    VdmsEvaluatorOptions opts;
-    opts.seed = 13;
-    opts.build_threads = build_threads;
-    VdmsEvaluator evaluator(&data, &workload, opts);
-    return evaluator.Evaluate(config);
-  };
-  const EvalOutcome seq = evaluate(1);
-  const EvalOutcome par = evaluate(4);
-  ASSERT_FALSE(seq.failed) << seq.fail_reason;
-  ASSERT_FALSE(par.failed) << par.fail_reason;
-  EXPECT_EQ(seq.qps, par.qps);
-  EXPECT_EQ(seq.recall, par.recall);
-  EXPECT_EQ(seq.memory_gib, par.memory_gib);
+    auto evaluate = [&](size_t build_threads) {
+      VdmsEvaluatorOptions opts;
+      opts.seed = 13;
+      opts.build_threads = build_threads;
+      VdmsEvaluator evaluator(&data, &workload, opts);
+      return evaluator.Evaluate(config);
+    };
+    const EvalOutcome seq = evaluate(1);
+    const EvalOutcome par = evaluate(4);
+    ASSERT_FALSE(seq.failed) << IndexTypeName(type) << ": " << seq.fail_reason;
+    ASSERT_FALSE(par.failed) << IndexTypeName(type) << ": " << par.fail_reason;
+    EXPECT_EQ(seq.qps, par.qps) << IndexTypeName(type);
+    EXPECT_EQ(seq.recall, par.recall) << IndexTypeName(type);
+    EXPECT_EQ(seq.memory_gib, par.memory_gib) << IndexTypeName(type);
+  }
 }
 
 // A churn (insert/delete/search/compaction) evaluation must produce the
 // identical tuning trajectory — same configs, same QPS/recall/memory — at
-// any eval_threads/build_threads width. Covers the kmeans family and FLAT;
-// HNSW keeps its documented sequential-vs-batched build-mode distinction.
+// any eval_threads/build_threads width.
 TEST(EvaluatorChurnParityTest, TrajectoryIdenticalAcrossWidths) {
   FloatMatrix data = ClusteredMatrix(1500, 16, 8, 0.3, 71);
   ChurnSpec spec;
@@ -497,12 +435,15 @@ TEST(EvaluatorChurnParityTest, TrajectoryIdenticalAcrossWidths) {
   std::vector<TuningConfig> trajectory;
   for (const IndexType type :
        {IndexType::kIvfFlat, IndexType::kIvfSq8, IndexType::kFlat,
-        IndexType::kScann}) {
+        IndexType::kScann, IndexType::kHnsw, IndexType::kAutoIndex}) {
     TuningConfig config;
     config.index_type = type;
     config.index.nlist = 16;
     config.index.nprobe = 8;
     config.index.reorder_k = 64;
+    config.index.hnsw_m = 12;
+    config.index.ef_construction = 64;
+    config.index.ef = 32;
     config.system.build_index_threshold = 32;
     config.system.compaction_deleted_ratio = 0.15;  // deletes will trip it
     trajectory.push_back(config);
